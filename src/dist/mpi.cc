@@ -5,6 +5,8 @@
 
 #include "dist/mpi.hh"
 
+#include <algorithm>
+
 #include "net/net_stack.hh"
 #include "sim/logging.hh"
 #include "sim/simulation.hh"
@@ -17,6 +19,15 @@ using sim::Tick;
 namespace {
 
 constexpr std::size_t headerBytes = 12;
+
+/**
+ * MPI_Init's mesh check grid. Each rank checks for its peer sockets
+ * once when its connects are done and then every meshPoll until all
+ * are there. The wait is event-free (MpiWorld::establishMesh); the
+ * grid survives only so that the tick a rank leaves MPI_Init, and
+ * with it every modeled result, stays as it was.
+ */
+constexpr Tick meshPoll = 5 * sim::oneUs;
 
 /** Receive exactly @p n bytes from @p sock. */
 Task<std::vector<std::uint8_t>>
@@ -270,6 +281,9 @@ MpiWorld::MpiWorld(sim::Simulation &s,
                 std::make_unique<sim::Mailbox<std::uint64_t>>(
                     ranks_[i]->node_.kernel->eventQueue());
     }
+    mesh_.reserve(ranks_.size());
+    for (std::size_t i = 0; i < ranks_.size(); ++i)
+        mesh_.push_back({size() - 1, sim::Condition(sim_.eventQueue())});
 }
 
 net::TcpSocketPtr &
@@ -278,6 +292,34 @@ MpiWorld::sockOf(int a, int b)
     return peers_[static_cast<std::size_t>(a)]
                  [static_cast<std::size_t>(b)]
                      .sock;
+}
+
+void
+MpiWorld::setSock(int me, int peer, net::TcpSocketPtr sock)
+{
+    // The missing count is only right if every slot fills once.
+    MCNSIM_ASSERT(peer >= 0 && peer < size() && peer != me,
+                  "rank ", me, " got a socket for bad peer ", peer);
+    auto &slot = sockOf(me, peer);
+    MCNSIM_ASSERT(!slot, "rank ", me, " got a second socket for rank ",
+                  peer);
+    slot = std::move(sock);
+    auto &w = mesh_[static_cast<std::size_t>(me)];
+    if (--w.missing == 0)
+        w.up.notifyAll();
+}
+
+int
+MpiWorld::connectorOf(int me, const net::TcpSocket &conn)
+{
+    const auto &t = conn.tuple();
+    for (int p = me + 1; p < size(); ++p) {
+        const auto &s = sockOf(p, me);
+        if (s && s->tuple().localIp == t.remoteIp &&
+            s->tuple().localPort == t.remotePort)
+            return p;
+    }
+    return -1;
 }
 
 sim::Mailbox<std::uint64_t> &
@@ -309,10 +351,14 @@ MpiWorld::establishMesh(MpiRank &r)
             auto conn = co_await lst->accept();
             auto hello = co_await recvExactly(conn, 4);
             if (hello.size() < 4)
-                continue;
+                sim::panic("MPI rank ", my_rank, " got a short hello (",
+                           hello.size(), " of 4 bytes) from rank ",
+                           w->connectorOf(my_rank, *conn));
             int who = (hello[0] << 24) | (hello[1] << 16) |
                       (hello[2] << 8) | hello[3];
-            w->sockOf(my_rank, who) = conn;
+            MCNSIM_ASSERT(who > my_rank, "rank ", my_rank,
+                          " accepted a hello from lower rank ", who);
+            w->setSock(my_rank, who, conn);
         }
     };
     if (expected > 0)
@@ -332,19 +378,29 @@ MpiWorld::establishMesh(MpiRank &r)
         std::vector<std::uint8_t> hello = {
             0, 0, static_cast<std::uint8_t>(me >> 8),
             static_cast<std::uint8_t>(me & 0xff)};
-        co_await sock->send(std::move(hello));
-        sockOf(me, peer) = sock;
+        if (co_await sock->send(std::move(hello)) < 4)
+            sim::panic("MPI rank ", me, " failed to greet rank ", peer);
+        setSock(me, peer, sock);
     }
 
-    // Wait until every peer socket (both directions) exists.
-    while (true) {
-        bool ready = true;
-        for (int p = 0; p < size(); ++p)
-            if (p != me && !sockOf(me, p))
-                ready = false;
-        if (ready)
-            break;
-        co_await sim::delayFor(sim_.eventQueue(), 5 * sim::oneUs);
+    // Wait until every peer socket (both directions) exists, leaving
+    // at the first meshPoll grid tick that sees them all. Sockets
+    // land only at the end of a socket call's core.slot event, and
+    // core.slot outranks the Process-priority check at the same
+    // tick, so a socket landing at grid tick t0 + k*meshPoll (k >= 1)
+    // is seen at that tick. The first check at t0 ran inline, so a
+    // later socket at t0 itself is seen one period on.
+    Tick t0 = sim_.curTick();
+    auto &w = mesh_[static_cast<std::size_t>(me)];
+    if (w.missing > 0) {
+        while (w.missing > 0)
+            co_await w.up.wait();
+        Tick periods = std::max<Tick>(
+            1, (sim_.curTick() - t0 + meshPoll - 1) / meshPoll);
+        Tick wake = t0 + periods * meshPoll;
+        if (wake > sim_.curTick())
+            co_await sim::delayFor(sim_.eventQueue(),
+                                   wake - sim_.curTick());
     }
 
     // One pump per peer turns the byte stream into messages.

@@ -126,12 +126,27 @@ class MpiWorld
         std::unique_ptr<sim::Mailbox<std::uint64_t>> inbox;
     };
 
+    /** One rank's MPI_Init progress: peer sockets still missing, and
+     *  the condition its mesh wait parks on until they have all
+     *  landed. */
+    struct MeshWait
+    {
+        int missing;
+        sim::Condition up;
+    };
+
     sim::Task<void> establishMesh(MpiRank &r);
     sim::Task<void> pump(MpiRank &r, int peer);
     sim::Task<void> rankMain(
         MpiRank &r, std::function<sim::Task<void>(MpiRank &)> body);
 
     net::TcpSocketPtr &sockOf(int a, int b);
+    /** Fill rank @p me's (empty) socket slot for @p peer; the last
+     *  slot to fill wakes @p me's mesh wait. */
+    void setSock(int me, int peer, net::TcpSocketPtr sock);
+    /** The higher rank whose socket to @p me is the far end of
+     *  @p conn; -1 when none has claimed it. */
+    int connectorOf(int me, const net::TcpSocket &conn);
     sim::Mailbox<std::uint64_t> &inboxOf(int me, int src);
 
     sim::Simulation &sim_;
@@ -139,6 +154,8 @@ class MpiWorld
     std::vector<std::unique_ptr<MpiRank>> ranks_;
     // peers_[me][other]
     std::vector<std::vector<Peer>> peers_;
+    // mesh_[rank]
+    std::vector<MeshWait> mesh_;
     std::unique_ptr<sim::TaskGroup> group_;
     std::uint64_t bytesMoved_ = 0;
     int readyCount_ = 0;

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+
 #include "core/experiment.hh"
 #include "core/system_builder.hh"
 #include "dist/mpi.hh"
@@ -215,4 +218,46 @@ TEST(Placement, AllCoresPlacementCoversEveryCore)
     auto placement = allCoresPlacement(sys);
     // host 8 cores + 2 DIMMs x 4 cores.
     EXPECT_EQ(placement.size(), 8u + 2u * 4u);
+}
+
+TEST(MpiInit, MeshWaitIsEventFreeThroughTheSynStall)
+{
+    // The perfbench mcn_mpi128_mg shape: 8 MCN servers x 2 DIMMs,
+    // one rank per core. Above 96 ranks MPI_Init stalls for ~2.56 s
+    // of modeled time on SYN retransmit backoff; ranks whose mesh is
+    // still incomplete must sit that out without scheduling events.
+    Simulation s;
+    McnMultiServerParams p;
+    p.numServers = 8;
+    p.dimmsPerServer = 2;
+    p.config = McnConfig::level(5);
+    McnMultiServer sys(s, p);
+    std::vector<NodeRef> nodes;
+    for (std::size_t n : allCoresPlacement(sys))
+        nodes.push_back(sys.node(n));
+    ASSERT_EQ(nodes.size(), 128u);
+
+    s.eventQueue().setProfiling(true);
+    MpiWorld world(s, std::move(nodes));
+    Tick last_done = 0;
+    world.launch([&](MpiRank &r) -> Task<void> {
+        co_await r.barrier();
+        last_done = std::max(last_done, r.kernel().curTick());
+    });
+    runUntil(s, [&] { return world.allReadyAt() != 0; },
+             30 * oneSec);
+    std::uint64_t delays = 0;
+    for (const auto &e : s.eventQueue().profileEntries())
+        if (std::strcmp(e.name, "task-delay") == 0)
+            delays = e.count;
+    // A 5 us poll loop would dispatch ~47.5 M here.
+    EXPECT_LT(delays, 1000u);
+
+    world.runToCompletion(s, 30 * oneSec);
+    ASSERT_TRUE(world.done());
+    // Recorded once from the poll-loop implementation: the event-free
+    // wait must release every rank at the same tick it did.
+    EXPECT_EQ(world.allReadyAt(), 2'560'579'094'310u);
+    EXPECT_EQ(world.bytesMoved(), 7'168u);
+    EXPECT_EQ(last_done, 2'560'698'065'280u);
 }

@@ -71,6 +71,20 @@ if want test; then
     echo
     echo "== stage: test =="
     ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
+    # MPI_Init at 128 ranks sits out a ~2.56 s modeled SYN-backoff
+    # stall. The mesh wait must do that without polling: a poll loop
+    # shows up as millions of task-delay events, whatever the host.
+    profile="$("$BUILD_DIR/tools/mcnsim_cli" workload --system=multi \
+        --servers=8 --dimms=2 --name=mg --iters=1 \
+        --profile --profile-top=50)"
+    delays="$(echo "$profile" | awk '$1 == "task-delay" { print $2 }')"
+    delays="${delays:-0}"
+    if [ "$delays" -gt 1000 ]; then
+        echo "FAIL: MPI_Init dispatched $delays task-delay events" \
+             "(limit 1000)" >&2
+        exit 1
+    fi
+    echo "MPI_Init mesh wait: $delays task-delay events (limit 1000)"
 fi
 
 if want lint; then
