@@ -29,14 +29,21 @@ constexpr std::size_t headerBytes = 12;
  */
 constexpr Tick meshPoll = 5 * sim::oneUs;
 
-/** Receive exactly @p n bytes from @p sock. */
+/**
+ * Receive exactly @p n bytes from @p sock.
+ *
+ * Borrows the socket: every caller co_awaits this task while its
+ * own frame holds the TcpSocketPtr. Taking the shared_ptr by value
+ * here instead (a copy into this coroutine's frame) crashed the MPI
+ * layer under GCC 12.2 at -O2 and above (DESIGN.md §6).
+ */
 Task<std::vector<std::uint8_t>>
-recvExactly(net::TcpSocketPtr sock, std::size_t n)
+recvExactly(net::TcpSocket &sock, std::size_t n)
 {
     std::vector<std::uint8_t> out;
     out.reserve(n);
     while (out.size() < n) {
-        auto chunk = co_await sock->recv(n - out.size());
+        auto chunk = co_await sock.recv(n - out.size());
         if (chunk.empty())
             co_return out; // EOF
         out.insert(out.end(), chunk.begin(), chunk.end());
@@ -349,7 +356,7 @@ MpiWorld::establishMesh(MpiRank &r)
                        int my_rank, int count) -> Task<void> {
         for (int k = 0; k < count; ++k) {
             auto conn = co_await lst->accept();
-            auto hello = co_await recvExactly(conn, 4);
+            auto hello = co_await recvExactly(*conn, 4);
             if (hello.size() < 4)
                 sim::panic("MPI rank ", my_rank, " got a short hello (",
                            hello.size(), " of 4 bytes) from rank ",
@@ -415,7 +422,7 @@ MpiWorld::pump(MpiRank &r, int peer)
     int me = r.rank();
     auto sock = sockOf(me, peer);
     while (true) {
-        auto hdr = co_await recvExactly(sock, headerBytes);
+        auto hdr = co_await recvExactly(*sock, headerBytes);
         if (hdr.size() < headerBytes)
             co_return; // connection closed
         std::uint32_t src = (std::uint32_t(hdr[0]) << 24) |

@@ -26,8 +26,8 @@
 #   pdes     parallel-engine gate: multi-thread selfchecks on
 #            iperf/ping/chaos plus a byte-compare of the stat JSON
 #            across worker counts (DESIGN.md §9)
-#   checked  build with -DMCNSIM_CHECKED=ON, run ctest + the CLI
-#            determinism selfcheck across mcn levels 0-5
+#   checked  -O2 build, -DMCNSIM_CHECKED=ON -DMCNSIM_WERROR=ON; ctest
+#            + the CLI determinism selfcheck across mcn levels 0-5
 #   asan     address+undefined sanitizers: ctest + CLI smoke
 #   ubsan    undefined-only sanitizer run
 #   tsan     ThreadSanitizer run of the concurrency surface: PDES
@@ -287,7 +287,7 @@ if want checked; then
     CHECKED_DIR="$BUILD_DIR-checked"
     cmake -B "$CHECKED_DIR" -S "$REPO_ROOT" \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-        -DMCNSIM_CHECKED=ON > /dev/null
+        -DMCNSIM_CHECKED=ON -DMCNSIM_WERROR=ON > /dev/null
     cmake --build "$CHECKED_DIR" -j
     ctest --test-dir "$CHECKED_DIR" --output-on-failure \
         -j "$(nproc)"
