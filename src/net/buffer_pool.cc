@@ -129,7 +129,7 @@ carve(std::uint8_t cls, std::size_t n)
 } // namespace
 
 PktBuf *
-BufferPool::acquire(std::size_t n)
+BufferPool::acquire(std::size_t n, std::size_t overwrite)
 {
     std::uint8_t cls = classFor(n);
     Cache &c = cache();
@@ -147,8 +147,8 @@ BufferPool::acquire(std::size_t n)
     }
     b->len = static_cast<std::uint32_t>(n);
     MCNSIM_IF_CHECKED(b->magic = liveMagic;)
-    if (n)
-        std::memset(b->bytes(), 0, n);
+    if (n > overwrite)
+        std::memset(b->bytes(), 0, n - overwrite);
     return b;
 }
 

@@ -100,9 +100,11 @@ class BufferPool
     /**
      * Acquire a block with capacity >= @p n and refs == 1. Bytes
      * [0, n) are zeroed (len = n), matching the value-initialised
-     * vector the pool replaced.
+     * vector the pool replaced -- except the last @p overwrite
+     * bytes, which the caller must write before anything reads
+     * them (Packet::makeFilled), so they are not zeroed first.
      */
-    static PktBuf *acquire(std::size_t n);
+    static PktBuf *acquire(std::size_t n, std::size_t overwrite = 0);
 
     static void
     addRef(PktBuf *b)

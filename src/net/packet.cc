@@ -7,6 +7,7 @@
 
 #include <algorithm>
 
+#include "net/pattern.hh"
 #include "sim/flow_stats.hh"
 #include "sim/logging.hh"
 
@@ -47,23 +48,21 @@ Packet::wrap(BufRef buf, std::size_t head, std::size_t tail)
 PacketPtr
 Packet::make(std::vector<std::uint8_t> payload, std::size_t headroom)
 {
-    std::size_t total = headroom + payload.size();
-    BufRef buf{BufferPool::acquire(total)};
-    if (!payload.empty())
-        std::memcpy(buf->bytes() + headroom, payload.data(),
-                    payload.size());
-    return wrap(std::move(buf), headroom, total);
+    return makeFilled(
+        payload.size(),
+        [&](std::uint8_t *p) {
+            if (!payload.empty())
+                std::memcpy(p, payload.data(), payload.size());
+        },
+        headroom);
 }
 
 PacketPtr
 Packet::makePattern(std::size_t n, std::uint8_t seed,
                     std::size_t headroom)
 {
-    BufRef buf{BufferPool::acquire(headroom + n)};
-    std::uint8_t *p = buf->bytes() + headroom;
-    for (std::size_t i = 0; i < n; ++i)
-        p[i] = static_cast<std::uint8_t>(seed + (i & 0xff));
-    return wrap(std::move(buf), headroom, headroom + n);
+    return makeFilled(
+        n, [&](std::uint8_t *p) { fillPattern(p, seed, n); }, headroom);
 }
 
 void

@@ -166,10 +166,27 @@ class Packet
     static PacketPtr make(std::vector<std::uint8_t> payload,
                           std::size_t headroom = defaultHeadroom);
 
-    /** Create a packet with an n-byte patterned payload. */
+    /** Create a packet with an n-byte patterned payload: byte i is
+     *  (seed + i) & 0xff (net/pattern.hh). */
     static PacketPtr makePattern(std::size_t n, std::uint8_t seed = 0,
                                  std::size_t headroom =
                                      defaultHeadroom);
+
+    /**
+     * Create a packet whose @p n-byte payload is written in place by
+     * @p fill(std::uint8_t *payload), which must write all n bytes.
+     * The payload is not zeroed first, so each byte is written once
+     * (the headroom still is).
+     */
+    template <class Fill>
+    static PacketPtr
+    makeFilled(std::size_t n, Fill &&fill,
+               std::size_t headroom = defaultHeadroom)
+    {
+        BufRef buf{BufferPool::acquire(headroom + n, n)};
+        fill(buf->bytes() + headroom);
+        return wrap(std::move(buf), headroom, headroom + n);
+    }
 
     Packet(Priv, BufRef buf, std::size_t head, std::size_t tail)
         : buf_(std::move(buf)), head_(head), tail_(tail)

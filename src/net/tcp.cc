@@ -700,16 +700,15 @@ TcpSocket::emitSegment(std::uint32_t seq, std::uint32_t len,
 {
     const auto &costs = stack_.kernel().costs();
 
-    // Copy payload out of the send buffer.
-    std::vector<std::uint8_t> payload;
-    if (len > 0) {
-        std::uint32_t off = seq - sndUna_;
-        MCNSIM_ASSERT(off + len <= sndBuf_.size(),
-                      "segment beyond send buffer");
-        payload.resize(len);
-        sndBuf_.copyOut(off, len, payload.data());
-    }
-    auto pkt = Packet::make(std::move(payload));
+    // Copy the payload out of the send buffer, straight into the
+    // segment.
+    std::uint32_t off = seq - sndUna_;
+    MCNSIM_ASSERT(len == 0 || off + len <= sndBuf_.size(),
+                  "segment beyond send buffer");
+    auto pkt = Packet::makeFilled(len, [&](std::uint8_t *p) {
+        if (len > 0)
+            sndBuf_.copyOut(off, len, p);
+    });
     pkt->tsoMss = tso_mss;
 
     TcpHeader h;

@@ -114,19 +114,25 @@ EventQueue::forgetDead(Event *ev)
 void
 EventQueue::registerDetachedFrame(std::coroutine_handle<> h)
 {
+    detachedIndex_.emplace(h.address(), detachedFrames_.size());
     detachedFrames_.push_back(h);
 }
 
 void
 EventQueue::forgetDetachedFrame(std::coroutine_handle<> h)
 {
-    for (std::size_t i = 0; i < detachedFrames_.size(); ++i) {
-        if (detachedFrames_[i] == h) {
-            detachedFrames_[i] = detachedFrames_.back();
-            detachedFrames_.pop_back();
-            return;
-        }
+    auto it = detachedIndex_.find(h.address());
+    if (it == detachedIndex_.end())
+        return;
+    std::size_t i = it->second;
+    detachedIndex_.erase(it);
+    // Swap-with-back removal: the vector's order is the order
+    // destroyDetachedFrames() tears frames down in.
+    if (i + 1 != detachedFrames_.size()) {
+        detachedFrames_[i] = detachedFrames_.back();
+        detachedIndex_[detachedFrames_[i].address()] = i;
     }
+    detachedFrames_.pop_back();
 }
 
 void
@@ -138,6 +144,7 @@ EventQueue::destroyDetachedFrames()
     // safe (roots never own other roots).
     std::vector<std::coroutine_handle<>> frames;
     frames.swap(detachedFrames_);
+    detachedIndex_.clear();
     for (auto h : frames)
         h.destroy();
 }

@@ -600,6 +600,10 @@ class EventQueue
     std::unordered_map<const char *,
                        std::pair<std::uint64_t, std::uint64_t>>
         profile_;
+    /** Frame address -> its detachedFrames_ index (O(1) forget).
+     *  Last, so the members each dispatch touches keep their
+     *  offsets. */
+    std::unordered_map<void *, std::size_t> detachedIndex_;
 };
 
 } // namespace mcnsim::sim

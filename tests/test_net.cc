@@ -1,11 +1,15 @@
 /**
  * @file
- * Unit tests for packet buffers, checksums, Ethernet/IPv4/ICMP/UDP
- * wire formats, and interface-table routing semantics.
+ * Unit tests for packet buffers, the TCP stream ring, checksums,
+ * Ethernet/IPv4/ICMP/UDP wire formats, and interface-table routing
+ * semantics.
  */
 
 #include <gtest/gtest.h>
 
+#include <deque>
+
+#include "net/byte_ring.hh"
 #include "net/checksum.hh"
 #include "net/ethernet.hh"
 #include "net/icmp.hh"
@@ -28,6 +32,23 @@ TEST(PacketBuf, PushPullRoundTrip)
     pkt->pull(14);
     EXPECT_EQ(pkt->size(), 100u);
     EXPECT_EQ(pkt->data()[0], 7);
+}
+
+TEST(PacketBuf, MakePatternBytesFollowSeed)
+{
+    // Byte i is (seed + i) & 0xff across the 256-byte fill chunks.
+    for (std::size_t n : {0u, 1u, 255u, 256u, 257u, 1500u}) {
+        for (std::size_t seed : {0u, 200u}) {
+            auto pkt = Packet::makePattern(
+                n, static_cast<std::uint8_t>(seed));
+            ASSERT_EQ(pkt->size(), n);
+            for (std::size_t i = 0; i < n; ++i) {
+                ASSERT_EQ(pkt->cdata()[i],
+                          static_cast<std::uint8_t>((seed + i) & 0xff))
+                    << "n=" << n << " seed=" << seed << " i=" << i;
+            }
+        }
+    }
 }
 
 TEST(PacketBuf, PushBeyondHeadroomGrows)
@@ -160,6 +181,212 @@ TEST(PacketBuf, PoolClassSelection)
     EXPECT_EQ(cap(9000), 10240u);
     // Beyond the largest class: exact heap block.
     EXPECT_EQ(cap(100000), 100000u + Packet::defaultHeadroom);
+}
+
+namespace {
+
+/** Reference model for ByteRing: the bytes in a deque, plus the run
+ *  boundaries the ring should keep (absolute end offset, kind, and
+ *  for pattern runs the phase of the byte after the run). */
+struct RingModel
+{
+    struct Run
+    {
+        std::size_t end;
+        bool pattern;
+        std::size_t nextPhase;
+    };
+
+    std::deque<std::uint8_t> bytes;
+    std::deque<Run> runs;
+    std::size_t base = 0; ///< absolute offset of bytes.front()
+
+    std::size_t end() const { return base + bytes.size(); }
+
+    /** Returns true when the append should extend the last run. */
+    bool
+    append(const std::vector<std::uint8_t> &v)
+    {
+        if (v.empty())
+            return false;
+        bytes.insert(bytes.end(), v.begin(), v.end());
+        bool merge = !runs.empty() && !runs.back().pattern;
+        if (merge)
+            runs.back().end = end();
+        else
+            runs.push_back({end(), false, 0});
+        return merge;
+    }
+
+    bool
+    appendPattern(std::size_t phase, std::size_t n)
+    {
+        if (n == 0)
+            return false;
+        for (std::size_t i = 0; i < n; ++i)
+            bytes.push_back(static_cast<std::uint8_t>((phase + i) & 0xff));
+        bool merge = !runs.empty() && runs.back().pattern &&
+                     runs.back().nextPhase == (phase & 0xff);
+        if (merge)
+            runs.back() = {end(), true, (phase + n) & 0xff};
+        else
+            runs.push_back({end(), true, (phase + n) & 0xff});
+        return merge;
+    }
+
+    void
+    pop(std::size_t n)
+    {
+        bytes.erase(bytes.begin(),
+                    bytes.begin() + static_cast<std::ptrdiff_t>(n));
+        base += n;
+        while (!runs.empty() && runs.front().end <= base)
+            runs.pop_front();
+    }
+
+    /** True when bytes [off, off+n) span more than one run. */
+    bool
+    crossesRun(std::size_t off, std::size_t n) const
+    {
+        for (const Run &r : runs)
+            if (r.end > base + off && r.end < base + off + n)
+                return true;
+        return false;
+    }
+};
+
+} // namespace
+
+TEST(ByteRingTest, PatternOnlyRingAllocatesNoStore)
+{
+    ByteRing ring;
+    ring.appendPattern(0, 128 * 1024);
+    ring.appendPattern(128 * 1024, 128 * 1024);
+    EXPECT_EQ(ring.size(), 256u * 1024);
+    EXPECT_EQ(ring.runCount(), 1u); // consecutive chunks merged
+    EXPECT_EQ(ring.literalCapacity(), 0u);
+    std::vector<std::uint8_t> seg(1400);
+    ring.copyOut(200'000, seg.size(), seg.data());
+    for (std::size_t i = 0; i < seg.size(); ++i)
+        ASSERT_EQ(seg[i], static_cast<std::uint8_t>((200'000 + i) & 0xff));
+}
+
+TEST(ByteRingTest, LiteralStoreWrapsAndGrowsAcrossPatternRuns)
+{
+    // 1000 literal bytes fill most of the first 1 KiB store; popping
+    // 900 and appending 500 more wraps the store's tail, and a
+    // further 2000 grows it while the live bytes straddle the seam.
+    RingModel m;
+    ByteRing ring;
+    auto lit = [](std::size_t n, std::uint8_t salt) {
+        std::vector<std::uint8_t> v(n);
+        for (std::size_t i = 0; i < n; ++i)
+            v[i] = static_cast<std::uint8_t>(i * 7 + salt);
+        return v;
+    };
+    auto add = [&](const std::vector<std::uint8_t> &v) {
+        ring.append(v.data(), v.size());
+        m.append(v);
+    };
+    add(lit(1000, 1));
+    EXPECT_EQ(ring.literalCapacity(), 1024u);
+    ring.popFront(900);
+    m.pop(900);
+    ring.appendPattern(77, 300);
+    m.appendPattern(77, 300);
+    add(lit(500, 2));
+    EXPECT_EQ(ring.literalCapacity(), 1024u); // wrapped, not grown
+    add(lit(2000, 3));
+    EXPECT_EQ(ring.literalCapacity(), 4096u);
+    EXPECT_EQ(ring.runCount(), m.runs.size());
+    std::vector<std::uint8_t> all(ring.size());
+    ring.copyOut(0, all.size(), all.data());
+    EXPECT_TRUE(std::equal(all.begin(), all.end(), m.bytes.begin(),
+                           m.bytes.end()));
+}
+
+TEST(ByteRingTest, MatchesDequeReferenceOverRandomOps)
+{
+    // Seeded differential test against a std::deque<uint8_t>: mixed
+    // literal and pattern appends (some continuing the last pattern
+    // run, so they merge), random-offset reads, pops and takes.
+    Rng rng(1414);
+    ByteRing ring;
+    RingModel m;
+    std::size_t merged = 0, unmerged = 0, crossingReads = 0,
+                crossingPops = 0, grows = 0;
+    std::size_t lastCap = 0, nextPhase = 0;
+    auto len = [&]() -> std::size_t {
+        // Mostly small; now and then large enough to grow the store.
+        return rng.chance(0.05) ? rng.uniformInt(0, 20'000)
+                                : rng.uniformInt(0, 1'500);
+    };
+    for (int op = 0; op < 20'000; ++op) {
+        // Drain harder while the ring is large, so it keeps wrapping.
+        int kind = static_cast<int>(rng.uniformInt(0, 9));
+        if (m.bytes.size() > 60'000 && kind < 5)
+            kind += 5;
+        if (kind <= 1) {
+            std::vector<std::uint8_t> v(len());
+            for (auto &b : v)
+                b = static_cast<std::uint8_t>(rng.uniformInt(0, 255));
+            std::size_t before = ring.runCount();
+            ring.append(v.data(), v.size());
+            bool merge = m.append(v);
+            if (!v.empty()) {
+                EXPECT_EQ(ring.runCount(), before + (merge ? 0 : 1));
+            }
+        } else if (kind <= 4) {
+            std::size_t n = len();
+            std::size_t phase = rng.chance(0.5)
+                                    ? nextPhase + 256 * rng.uniformInt(0, 3)
+                                    : rng.uniformInt(0, 1 << 20);
+            std::size_t before = ring.runCount();
+            ring.appendPattern(phase, n);
+            bool merge = m.appendPattern(phase, n);
+            if (n) {
+                EXPECT_EQ(ring.runCount(), before + (merge ? 0 : 1));
+                (merge ? merged : unmerged)++;
+                nextPhase = (phase + n) & 0xff;
+            }
+        } else if (kind <= 6) {
+            std::size_t sz = m.bytes.size();
+            std::size_t off = rng.uniformInt(0, sz);
+            std::size_t n = rng.uniformInt(0, sz - off);
+            std::vector<std::uint8_t> got(n);
+            ring.copyOut(off, n, got.data());
+            ASSERT_TRUE(std::equal(
+                got.begin(), got.end(),
+                m.bytes.begin() + static_cast<std::ptrdiff_t>(off)))
+                << "op " << op << " copyOut(" << off << ", " << n << ")";
+            crossingReads += m.crossesRun(off, n);
+        } else if (kind <= 8) {
+            std::size_t n = rng.uniformInt(0, m.bytes.size());
+            crossingPops += m.crossesRun(0, n);
+            ring.popFront(n);
+            m.pop(n);
+        } else {
+            std::size_t n = rng.uniformInt(0, m.bytes.size());
+            auto got = ring.take(n);
+            ASSERT_EQ(got.size(), n);
+            ASSERT_TRUE(std::equal(got.begin(), got.end(),
+                                   m.bytes.begin()))
+                << "op " << op << " take(" << n << ")";
+            m.pop(n);
+        }
+        ASSERT_EQ(ring.size(), m.bytes.size()) << "op " << op;
+        ASSERT_EQ(ring.runCount(), m.runs.size()) << "op " << op;
+        if (ring.literalCapacity() != lastCap) {
+            grows++;
+            lastCap = ring.literalCapacity();
+        }
+    }
+    // The run exercised what it is meant to.
+    EXPECT_GT(merged, 100u);
+    EXPECT_GT(unmerged, 100u);
+    EXPECT_GT(crossingReads, 100u);
+    EXPECT_GT(crossingPops, 100u);
+    EXPECT_GE(grows, 3u);
 }
 
 TEST(LatencyTraceTest, SpansComputed)

@@ -124,6 +124,58 @@ TEST(TcpTransfer, LoopbackDeliversInOrder)
             << "offset " << i;
 }
 
+TEST(TcpTransfer, HeaderPatternTrailerDeliversEveryByte)
+{
+    // A literal header, a pattern payload larger than the send
+    // buffer (so sendPattern blocks and resumes mid-stream), and a
+    // literal trailer: the send ring holds literal and pattern runs
+    // side by side, and every segment is cut from them.
+    Simulation s;
+    LoneNode node(s);
+
+    const std::vector<std::uint8_t> header = {0xde, 0xad, 0xbe, 0xef,
+                                              0x01, 0x02, 0x03};
+    const std::vector<std::uint8_t> trailer = {0xca, 0xfe, 0x42};
+    const std::size_t body = TcpSocket::sndBufCap + 300'001;
+    const std::size_t n = header.size() + body + trailer.size();
+
+    std::vector<std::uint8_t> rx;
+    std::size_t bodySent = 0;
+    auto server = [&]() -> Task<void> {
+        auto lst = tcpListen(node.stack, 8002);
+        auto conn = co_await lst->accept();
+        while (rx.size() < n) {
+            auto chunk = co_await conn->recv(65536);
+            if (chunk.empty())
+                break;
+            rx.insert(rx.end(), chunk.begin(), chunk.end());
+        }
+    };
+    auto client = [&]() -> Task<void> {
+        SockAddr dst{Ipv4Addr(10, 9, 9, 9), 8002};
+        auto sock = co_await tcpConnect(node.stack, dst);
+        if (!sock)
+            co_return;
+        co_await sock->send(header);
+        bodySent = co_await sock->sendPattern(body);
+        co_await sock->send(trailer);
+    };
+    spawnDetached(s.eventQueue(), server());
+    spawnDetached(s.eventQueue(), client());
+    s.run(s.curTick() + secondsToTicks(1.0));
+
+    EXPECT_EQ(bodySent, body);
+    ASSERT_EQ(rx.size(), n);
+    for (std::size_t i = 0; i < header.size(); ++i)
+        ASSERT_EQ(rx[i], header[i]) << "header byte " << i;
+    for (std::size_t i = 0; i < body; ++i)
+        ASSERT_EQ(rx[header.size() + i], static_cast<std::uint8_t>(i))
+            << "payload byte " << i;
+    for (std::size_t i = 0; i < trailer.size(); ++i)
+        ASSERT_EQ(rx[header.size() + body + i], trailer[i])
+            << "trailer byte " << i;
+}
+
 TEST(TcpCongestion, WindowGrowsDuringBulkTransfer)
 {
     Simulation s;

@@ -64,7 +64,7 @@ want() { case ",$STAGES," in *",$1,"*) return 0 ;; *) return 1 ;; esac; }
 if want build; then
     echo "== stage: build =="
     cmake -B "$BUILD_DIR" -S "$REPO_ROOT"
-    cmake --build "$BUILD_DIR" -j
+    cmake --build "$BUILD_DIR" -j "$(nproc)"
 fi
 
 if want test; then
@@ -288,7 +288,7 @@ if want checked; then
     cmake -B "$CHECKED_DIR" -S "$REPO_ROOT" \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DMCNSIM_CHECKED=ON -DMCNSIM_WERROR=ON > /dev/null
-    cmake --build "$CHECKED_DIR" -j
+    cmake --build "$CHECKED_DIR" -j "$(nproc)"
     ctest --test-dir "$CHECKED_DIR" --output-on-failure \
         -j "$(nproc)"
     echo "-- determinism selfcheck (mcn levels 0-5)"
