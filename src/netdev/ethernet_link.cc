@@ -16,8 +16,7 @@ namespace mcnsim::netdev {
 EthernetLink::EthernetLink(sim::Simulation &s, std::string name,
                            double bandwidth_bps, sim::Tick latency)
     : sim::SimObject(s, std::move(name)),
-      bandwidthBps_(bandwidth_bps), latency_(latency),
-      burst_(burstDefault_)
+      bandwidthBps_(bandwidth_bps), latency_(latency)
 {
     if (bandwidth_bps <= 0.0)
         sim::fatal(this->name(), ": bandwidth must be > 0");
@@ -82,8 +81,6 @@ EthernetLink::backlogBytes(const EtherEndpoint *src) const
 void
 EthernetLink::syncStats()
 {
-    if (!split_)
-        return;
     auto fold = [](sim::Scalar &s, std::uint64_t total,
                    std::uint64_t &synced) {
         s += static_cast<double>(total - synced);
@@ -105,16 +102,14 @@ void
 EthernetLink::sendFrom(EtherEndpoint *src, net::PacketPtr pkt)
 {
     MCNSIM_ASSERT(src == a_ || src == b_, "unattached sender");
-    EtherEndpoint *dst_ep = src == a_ ? b_ : a_;
-    MCNSIM_ASSERT(dst_ep, "link has a dangling end");
+    MCNSIM_ASSERT(src == a_ ? b_ : a_, "link has a dangling end");
 
     Direction &dir = dirFor(src);
     sim::EventQueue &srcQ = src == a_ ? *aQueue_ : *bQueue_;
     std::uint64_t bytes = pkt->size();
 
-    // FIFO serialization at the line rate. The sender's clock is
-    // authoritative: on the classic path it equals the link's own
-    // queue; on the split path it is the sending shard's clock.
+    // FIFO serialization at the line rate, on the sender's clock
+    // (the sending shard's on the split path).
     double ser_secs = static_cast<double>(bytes) * 8.0 /
                       bandwidthBps_;
     sim::Tick ser = std::max<sim::Tick>(
@@ -123,50 +118,22 @@ EthernetLink::sendFrom(EtherEndpoint *src, net::PacketPtr pkt)
     dir.busyUntil = start + ser;
     sim::Tick arrive = dir.busyUntil + latency_;
 
-    if (!split_) {
-        // Same-queue path: eager Scalars, then either the burst
-        // pump (one heap entry per busy direction) or the legacy
-        // one-event-per-frame delivery. Arrival ticks and per-link
-        // ordering are identical either way.
-        statFrames_ += 1;
-        statBytes_ += static_cast<double>(bytes);
-        dir.inFlightBytes += bytes;
-        if (burst_) {
-            dir.burstQ.push_back(
-                Direction::BurstEntry{arrive, bytes,
-                                      std::move(pkt),
-                                      srcQ.reserveOrder()});
-            armPump(src == a_);
-            return;
-        }
-        srcQ.schedule(
-            [this, dst_ep, pkt, bytes, src] {
-                Direction &d = dirFor(src);
-                d.inFlightBytes -= bytes;
-                deliver(dst_ep, pkt, *aQueue_, d, false);
-            },
-            arrive, "link.deliver");
-        return;
-    }
-
-    // Cross-shard path: every mutation stays on the sender's shard
-    // (tx counters, the wire deque); delivery crosses through the
-    // deterministic mailbox. The propagation latency is >= the
-    // registered shard-edge latency, so `arrive` always clears the
-    // lookahead horizon.
     dir.txFrames += 1;
     dir.txBytes += bytes;
+    if (!split_) {
+        // Same queue: the delivery event retires the bytes.
+        dir.inFlightBytes += bytes;
+        post(src, arrive, "link.deliver", std::move(pkt), bytes);
+        return;
+    }
+    // Split path: every mutation stays on the sender's shard; the
+    // wire deque is reconciled lazily against the sender's clock.
+    // The propagation latency is >= the registered shard-edge
+    // latency, so `arrive` always clears the lookahead horizon.
     reconcile(dir, srcQ.curTick());
     dir.inFlightBytes += bytes;
     dir.inFlight.emplace_back(arrive, bytes);
-    sim::EventQueue &dstQ = src == a_ ? *bQueue_ : *aQueue_;
-    simulation().postCrossShard(
-        srcQ.shardIndex(), dstQ.shardIndex(), arrive,
-        sim::EventPriority::Default, "link.deliver",
-        [this, dst_ep, pkt, src] {
-            sim::EventQueue &q = src == a_ ? *bQueue_ : *aQueue_;
-            deliver(dst_ep, pkt, q, dirFor(src), true);
-        });
+    post(src, arrive, "link.deliver", std::move(pkt), 0);
 }
 
 void
@@ -200,8 +167,7 @@ void
 EthernetLink::sendControl(EtherEndpoint *src, net::PacketPtr pkt)
 {
     MCNSIM_ASSERT(src == a_ || src == b_, "unattached sender");
-    EtherEndpoint *dst_ep = src == a_ ? b_ : a_;
-    MCNSIM_ASSERT(dst_ep, "link has a dangling end");
+    MCNSIM_ASSERT(src == a_ ? b_ : a_, "link has a dangling end");
 
     Direction &dir = dirFor(src);
     sim::EventQueue &srcQ = src == a_ ? *aQueue_ : *bQueue_;
@@ -214,101 +180,54 @@ EthernetLink::sendControl(EtherEndpoint *src, net::PacketPtr pkt)
     // independent of the data FIFO's busyUntil/backlog state.
     sim::Tick arrive = srcQ.curTick() + ser + latency_;
 
-    if (!split_) {
-        statFrames_ += 1;
-        statBytes_ += static_cast<double>(bytes);
-        srcQ.schedule(
-            [this, dst_ep, pkt, src] {
-                deliver(dst_ep, pkt, *aQueue_, dirFor(src), false);
-            },
-            arrive, "link.ctrl");
-        return;
-    }
     dir.txFrames += 1;
     dir.txBytes += bytes;
+    post(src, arrive, "link.ctrl", std::move(pkt), 0);
+}
+
+void
+EthernetLink::post(const EtherEndpoint *src, sim::Tick arrive,
+                   const char *what, net::PacketPtr pkt,
+                   std::uint64_t held)
+{
+    sim::EventQueue &srcQ = src == a_ ? *aQueue_ : *bQueue_;
+    if (!split_) {
+        srcQ.schedule(
+            [this, src, held, pkt = std::move(pkt)]() mutable {
+                dirFor(src).inFlightBytes -= held;
+                deliver(src, std::move(pkt));
+            },
+            arrive, what);
+        return;
+    }
     sim::EventQueue &dstQ = src == a_ ? *bQueue_ : *aQueue_;
     simulation().postCrossShard(
         srcQ.shardIndex(), dstQ.shardIndex(), arrive,
-        sim::EventPriority::Default, "link.ctrl",
-        [this, dst_ep, pkt, src] {
-            sim::EventQueue &q = src == a_ ? *bQueue_ : *aQueue_;
-            deliver(dst_ep, pkt, q, dirFor(src), true);
+        sim::EventPriority::Default, what,
+        [this, src, pkt = std::move(pkt)]() mutable {
+            deliver(src, std::move(pkt));
         });
 }
 
 void
-EthernetLink::armPump(bool from_a)
+EthernetLink::deliver(const EtherEndpoint *src, net::PacketPtr pkt)
 {
-    Direction &d = from_a ? ab_ : ba_;
-    if (d.pumpArmed || d.burstQ.empty())
-        return;
-    d.pumpArmed = true;
-    // Classic path only: both ends share one queue. The pump event
-    // occupies the front frame's reserved within-tick slot, so it
-    // fires exactly where that frame's own delivery event would
-    // have -- same tick, same order against unrelated events.
-    eventQueue().scheduleOrdered([this, from_a] { pump(from_a); },
-                                 d.burstQ.front().arrive,
-                                 d.burstQ.front().order,
-                                 "link.deliver");
-}
-
-void
-EthernetLink::pump(bool from_a)
-{
-    Direction &d = from_a ? ab_ : ba_;
-    EtherEndpoint *dst_ep = from_a ? b_ : a_;
-    sim::EventQueue &q = eventQueue();
-    d.pumpArmed = false;
-    sim::Tick now = q.curTick();
-    // Deliver the due burst in FIFO order. Per-direction arrivals
-    // are strictly increasing, so this is normally one frame; the
-    // loop is the burst-vector contract (everything due fires now,
-    // in order) and costs nothing when the burst is a singleton.
-    while (!d.burstQ.empty() && d.burstQ.front().arrive <= now) {
-        Direction::BurstEntry e = std::move(d.burstQ.front());
-        d.burstQ.pop_front();
-        d.inFlightBytes -= e.bytes;
-        burstDelivered_ += 1;
-        deliver(dst_ep, std::move(e.pkt), q, d, false);
-    }
-    armPump(from_a);
-}
-
-void
-EthernetLink::deliver(EtherEndpoint *dst_ep, net::PacketPtr pkt,
-                      sim::EventQueue &q, Direction &dir, bool split)
-{
+    EtherEndpoint *dst_ep = src == a_ ? b_ : a_;
+    sim::EventQueue &q = src == a_ ? *bQueue_ : *aQueue_;
+    Direction &dir = dirFor(src);
     // Fault injection: transient loss and bit errors, the
     // physical-link hazards the paper contrasts with the
     // ECC/CRC-protected memory channel (Sec. IV-A). The legacy
     // rate knobs draw from the simulation RNG (single-shard test
     // tools; see the file comment); the FaultPlan sites use
     // per-site streams so an armed-but-silent plan cannot perturb
-    // modeled timing. On the split path the stat increment lands in
-    // the receiver shard's plain counter instead of the Scalar.
-    if (downAt(q.curTick())) [[unlikely]] {
-        // Scheduled outage window: the cable is unplugged, so
-        // everything in flight -- data and fabric hellos alike --
-        // is lost until the window closes.
-        if (split)
-            dir.rxDropped += 1;
-        else
-            statDropped_ += 1;
-        return;
-    }
-    if (lossRate_ > 0.0 && simulation().rng().chance(lossRate_)) {
-        if (split)
-            dir.rxDropped += 1;
-        else
-            statDropped_ += 1;
-        return;
-    }
-    if (faultDrop_.fires()) {
-        if (split)
-            dir.rxDropped += 1;
-        else
-            statDropped_ += 1;
+    // modeled timing. Scheduled outage windows unplug the cable, so
+    // everything in flight -- data and fabric hellos alike -- is
+    // lost until the window closes.
+    if (downAt(q.curTick()) ||
+        (lossRate_ > 0.0 && simulation().rng().chance(lossRate_)) ||
+        faultDrop_.fires()) {
+        dir.rxDropped += 1;
         return;
     }
     const bool legacy_corrupt =
@@ -324,24 +243,18 @@ EthernetLink::deliver(EtherEndpoint *dst_ep, net::PacketPtr pkt,
                                        : faultCorrupt_.rng();
         std::size_t idx = rng.uniformInt(54, pkt->size() - 1);
         pkt->data()[idx] ^= 0x40;
-        if (split)
-            dir.rxCorrupted += 1;
-        else
-            statCorrupted_ += 1;
+        dir.rxCorrupted += 1;
     }
     if (faultReorder_.fires()) {
         // Bounded reorder: hold this frame back so frames behind
         // it overtake; redeliver after the spec's param (default
         // 5 us) without re-rolling the fault dice.
-        if (split)
-            dir.rxReordered += 1;
-        else
-            statReordered_ += 1;
+        dir.rxReordered += 1;
         sim::Tick delay = faultReorder_.param()
                               ? faultReorder_.param()
                               : 5 * sim::oneUs;
         q.scheduleIn(
-            [this, dst_ep, pkt, &q] {
+            [this, dst_ep, pkt = std::move(pkt), &q] {
                 pkt->trace.stamp(net::Stage::Phy, q.curTick());
                 if (sim::FlowTelemetry::active()) [[unlikely]]
                     pkt->pathHop(name().c_str(), q.curTick());
@@ -351,17 +264,14 @@ EthernetLink::deliver(EtherEndpoint *dst_ep, net::PacketPtr pkt,
         return;
     }
     if (faultDup_.fires()) {
-        if (split)
-            dir.rxDuplicated += 1;
-        else
-            statDuplicated_ += 1;
+        dir.rxDuplicated += 1;
         pkt->trace.stamp(net::Stage::Phy, q.curTick());
         dst_ep->receiveFrame(pkt->clone());
     }
     pkt->trace.stamp(net::Stage::Phy, q.curTick());
     if (sim::FlowTelemetry::active()) [[unlikely]]
         pkt->pathHop(name().c_str(), q.curTick());
-    dst_ep->receiveFrame(pkt);
+    dst_ep->receiveFrame(std::move(pkt));
 }
 
 } // namespace mcnsim::netdev

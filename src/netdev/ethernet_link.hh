@@ -5,13 +5,14 @@
  * baseline cluster's NICs and switch hang off these.
  *
  * Sharding (DESIGN.md §9): a link whose two endpoints live on the
- * same event queue delivers exactly as the serial engine always has
- * (one "link.deliver" event). When the endpoints live on *different*
- * shards the link becomes the shard boundary: delivery crosses via
- * the Simulation::postCrossShard mailbox, per-direction counters
- * stay shard-local (folded into the registered stats by
- * syncStats()), and the propagation latency is what the builders
- * register as the shard edge bounding the conservative lookahead.
+ * same event queue delivers each frame with one "link.deliver" event
+ * on that queue. When the endpoints live on *different* shards the
+ * link becomes the shard boundary: delivery crosses via the
+ * Simulation::postCrossShard mailbox, and the propagation latency is
+ * what the builders register as the shard edge bounding the
+ * conservative lookahead. Either way the per-direction counters are
+ * single-writer (tx on the sending side, rx on the receiving side)
+ * and syncStats() folds them into the registered stats.
  * The legacy setLossRate()/setCorruptRate() knobs draw from the
  * shared simulation RNG and are single-shard test tools only; the
  * FaultPlan sites are the sharded-safe path (the ShardSet runs
@@ -28,7 +29,6 @@
 #include <vector>
 
 #include "net/packet.hh"
-#include "sim/annotate.hh"
 #include "sim/fault.hh"
 #include "sim/sim_object.hh"
 
@@ -108,35 +108,13 @@ class EthernetLink : public sim::SimObject
                ab_.rxCorrupted + ba_.rxCorrupted - syncedCorrupted_;
     }
 
-    /** Fold the shard-local split-path counters into the registered
-     *  Scalars (no-op on the classic same-queue path). */
+    /** Fold the per-direction counters into the registered Scalars
+     *  (Simulation::prepareStatsDump runs this before every registry
+     *  read). */
     void syncStats() override;
 
     /** True when the two ends live on different event queues. */
     bool crossShard() const { return split_; }
-
-    // --- Burst coalescing ------------------------------------------
-    /**
-     * Same-queue deliveries normally coalesce behind one pump event
-     * per direction: pending frames wait in a burst deque and the
-     * pump re-arms itself at the next arrival tick, so the event
-     * heap holds one entry per busy link direction instead of one
-     * per in-flight frame (an 8 MB switch egress backlog is ~5400
-     * frames). Arrival ticks and per-link ordering are exactly the
-     * per-frame path's. The singleton path is kept for the
-     * byte-identity regression tests.
-     */
-    void setBurstCoalescing(bool on) { burst_ = on; }
-    bool burstCoalescing() const { return burst_; }
-
-    /** Default for new links (tests flip it to compare paths). */
-    static void setBurstCoalescingDefault(bool on)
-    {
-        burstDefault_ = on;
-    }
-
-    /** Frames delivered by pump events (introspection). */
-    std::uint64_t burstDelivered() const { return burstDelivered_; }
 
     /** Cache scheduled "<name>.down" outage windows from the armed
      *  FaultPlan (spec: `at=` start, `param=` duration). */
@@ -163,45 +141,28 @@ class EthernetLink : public sim::SimObject
          *  Touched only by the sending endpoint's shard. */
         mutable std::deque<std::pair<sim::Tick, std::uint64_t>>
             inFlight;
-        // Split-path stat counters, single-writer by construction:
-        // tx* belong to the sending shard, rx* to the receiving
-        // shard. syncStats() folds them into the Scalars between
-        // windows.
+        // Stat counters, single-writer by construction: tx* belong
+        // to the sending endpoint's queue, rx* to the receiving
+        // one. syncStats() folds them into the Scalars.
         std::uint64_t txFrames = 0;
         std::uint64_t txBytes = 0;
         std::uint64_t rxDropped = 0;
         std::uint64_t rxCorrupted = 0;
         std::uint64_t rxDuplicated = 0;
         std::uint64_t rxReordered = 0;
-
-        /** Same-queue burst path: frames awaiting delivery. Arrival
-         *  ticks are strictly increasing (busyUntil advances by the
-         *  serialization time, >= 1 tick, per frame), so the front
-         *  is always the next due. `order` is the within-tick slot
-         *  reserved at sendFrom() time (EventQueue::reserveOrder),
-         *  which is what keeps pump deliveries bit-identical to the
-         *  schedule-per-frame path against other same-tick events. */
-        struct BurstEntry
-        {
-            sim::Tick arrive;
-            std::uint64_t bytes;
-            net::PacketPtr pkt;
-            std::uint64_t order;
-        };
-        std::deque<BurstEntry> burstQ;
-        bool pumpArmed = false;
     };
 
-    /** Deliver every due frame in @p src-side direction, then re-arm
-     *  the pump at the next arrival tick. */
-    void pump(bool from_a);
-    void armPump(bool from_a);
+    /** Arrival-side delivery of a frame sent by @p src: legacy
+     *  loss/corrupt knobs plus the FaultPlan drop/corrupt/dup/reorder
+     *  sites. Runs on the receiver's queue. */
+    void deliver(const EtherEndpoint *src, net::PacketPtr pkt);
 
-    /** Arrival-side delivery: legacy loss/corrupt knobs plus the
-     *  FaultPlan drop/corrupt/dup/reorder sites. Runs on @p q (the
-     *  receiver's queue); @p dir is the direction of travel. */
-    void deliver(EtherEndpoint *dst_ep, net::PacketPtr pkt,
-                 sim::EventQueue &q, Direction &dir, bool split);
+    /** Schedule deliver(@p src, @p pkt) at @p arrive on the
+     *  receiver's queue: a local event on the same-queue path (which
+     *  also retires @p held in-flight bytes), a mailbox post on the
+     *  split path. */
+    void post(const EtherEndpoint *src, sim::Tick arrive,
+              const char *what, net::PacketPtr pkt, std::uint64_t held);
 
     /** Retire wire entries that have arrived by @p now. */
     static void reconcile(const Direction &dir, sim::Tick now);
@@ -220,13 +181,6 @@ class EthernetLink : public sim::SimObject
     sim::Tick latency_;
     double lossRate_ = 0.0;
     double corruptRate_ = 0.0;
-    bool burst_ = true;
-    MCNSIM_SHARD_SAFE("construction-time default: written only by "
-                      "tests/CLI before a system is built, read "
-                      "once per link constructor; never mutated "
-                      "while an event loop runs");
-    static inline bool burstDefault_ = true;
-    std::uint64_t burstDelivered_ = 0;
     /** Scheduled outage windows [start, end), cached at startup()
      *  from the plan's "<name>.down" hits. Empty in clean runs, so
      *  the deliver() check is one branch. */

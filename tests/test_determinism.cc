@@ -31,6 +31,7 @@ std::string
 digestOf(sim::Simulation &s)
 {
     std::ostringstream os;
+    s.prepareStatsDump();
     s.statRegistry().dumpJson(os);
     os << "tick=" << s.curTick()
        << " events=" << s.eventQueue().eventsProcessed();

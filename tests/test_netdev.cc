@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "net/checksum.hh"
 #include "net/tcp.hh"
 #include "netdev/ethernet_link.hh"
@@ -32,6 +34,10 @@ class SinkEndpoint : public EtherEndpoint
     std::vector<PacketPtr> got;
     std::vector<Tick> when;
     Simulation *sim = nullptr;
+    /** The queue (a shard's) this end runs on; null = the link's. */
+    EventQueue *queue = nullptr;
+
+    EventQueue *endpointQueue() override { return queue; }
 
     void
     receiveFrame(PacketPtr pkt) override
@@ -41,6 +47,29 @@ class SinkEndpoint : public EtherEndpoint
             when.push_back(sim->curTick());
     }
 };
+
+/** "l<i>", built by append: GCC 12 at -O3 reports a false
+ *  -Wrestrict overlap on `"l" + std::to_string(i)`. */
+std::string
+linkName(std::uint32_t i)
+{
+    std::string name = "l";
+    name += std::to_string(i);
+    return name;
+}
+
+/** A "link" stat as a dump would read it. */
+double
+linkStat(Simulation &s, const std::string &stat)
+{
+    s.prepareStatsDump();
+    for (const StatGroup *g : s.statRegistry().groups())
+        for (const StatBase *st : g->stats())
+            if (g->name() == "link" && st->name() == stat)
+                return dynamic_cast<const Scalar &>(*st).value();
+    ADD_FAILURE() << "no stat link." << stat;
+    return -1.0;
+}
 
 PacketPtr
 framedPacket(std::size_t payload, MacAddr dst, MacAddr src)
@@ -143,62 +172,98 @@ TEST(LinkTest, DirectionsAreIndependent)
 
 TEST(LinkTest, BurstPathMatchesSingletonDeliveries)
 {
-    // The burst pump must be an invisible optimisation: same
-    // arrival ticks, same order, same bytes as the one-event-per-
-    // frame path, across idle starts and busy pile-ups.
-    struct Arrival
-    {
-        Tick when;
-        std::size_t size;
-        std::uint8_t first;
-
-        bool
-        operator==(const Arrival &o) const
-        {
-            return when == o.when && size == o.size &&
-                   first == o.first;
+    // Back-to-back bursts go out one "link.deliver" event per frame:
+    // each arrival lands at max(send, busyUntil) + serialization +
+    // latency, in FIFO order, across idle starts and busy pile-ups.
+    Simulation s;
+    const Tick latency = oneUs;
+    EthernetLink link(s, "link", 10e9, latency);
+    SinkEndpoint a, b;
+    b.sim = &s;
+    link.attachA(&a);
+    link.attachB(&b);
+    // Staggered sends: bursts of 4 back-to-back frames (the link is
+    // busy, arrivals queue) separated by idle gaps.
+    std::vector<Tick> expected;
+    Tick busyUntil = 0;
+    for (int g = 0; g < 5; ++g) {
+        const Tick sent = static_cast<Tick>(g) * 3 * oneUs;
+        for (int i = 0; i < 4; ++i) {
+            const std::size_t size = 200 + 190 * i;
+            const Tick ser = std::max<Tick>(
+                1, secondsToTicks(static_cast<double>(size) * 8.0 /
+                                  10e9));
+            busyUntil = std::max(sent, busyUntil) + ser;
+            expected.push_back(busyUntil + latency);
         }
-    };
-    auto runOnce = [](bool burst) {
+        s.eventQueue().schedule(
+            [&link, &a, g] {
+                for (int i = 0; i < 4; ++i)
+                    link.sendFrom(
+                        &a, Packet::makePattern(
+                                200 + 190 * i,
+                                static_cast<std::uint8_t>(g)));
+            },
+            static_cast<Tick>(g) * 3 * oneUs);
+    }
+    s.run();
+    ASSERT_EQ(b.got.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(b.when[i], expected[i]) << "delivery " << i;
+        EXPECT_EQ(b.got[i]->size(), 200 + 190 * (i % 4));
+        EXPECT_EQ(b.got[i]->cdata()[0], i / 4) << "delivery " << i;
+    }
+    EXPECT_EQ(s.eventQueue().eventsProcessed(), 5u + 20u);
+    EXPECT_EQ(link.backlogBytes(&a), 0u);
+}
+
+TEST(LinkTest, ResetStatsMidRunCountsOnlyLaterFramesOnBothPaths)
+{
+    // Both link paths count in per-direction counters that
+    // syncStats() folds into the Scalars, so a resetStats() between
+    // two batches leaves exactly the second batch in the dump and in
+    // framesDropped(), whether the ends share a queue or not.
+    for (bool split : {false, true}) {
+        SCOPED_TRACE(split ? "cross-shard" : "same-queue");
         Simulation s;
+        std::size_t far = 0;
+        if (split) {
+            s.enableSharding();
+            far = s.newShard();
+            s.addShardEdge(0, far, oneUs);
+        }
         EthernetLink link(s, "link", 10e9, oneUs);
-        link.setBurstCoalescing(burst);
         SinkEndpoint a, b;
-        b.sim = &s;
+        a.queue = &s.shardQueue(0);
+        b.queue = &s.shardQueue(far);
         link.attachA(&a);
         link.attachB(&b);
-        // Staggered sends: bursts of 4 back-to-back frames (the
-        // link is busy, arrivals queue) separated by idle gaps (the
-        // pump has to re-arm from scratch).
-        for (int g = 0; g < 5; ++g) {
-            s.eventQueue().schedule(
-                [&link, &a, g] {
-                    for (int i = 0; i < 4; ++i)
-                        link.sendFrom(
-                            &a, Packet::makePattern(
-                                    200 + 190 * i,
-                                    static_cast<std::uint8_t>(g)));
-                },
-                static_cast<Tick>(g) * 3 * oneUs);
-        }
-        s.run();
-        std::vector<Arrival> out;
-        for (std::size_t i = 0; i < b.got.size(); ++i)
-            out.push_back({b.when[i], b.got[i]->size(),
-                           b.got[i]->cdata()[0]});
-        return std::pair(out, link.burstDelivered());
-    };
+        ASSERT_EQ(link.crossShard(), split);
 
-    auto [single, singlePumped] = runOnce(false);
-    auto [burst, burstPumped] = runOnce(true);
-    ASSERT_EQ(single.size(), 20u);
-    EXPECT_EQ(singlePumped, 0u);
-    EXPECT_EQ(burstPumped, 20u);
-    ASSERT_EQ(burst.size(), single.size());
-    for (std::size_t i = 0; i < single.size(); ++i)
-        EXPECT_TRUE(burst[i] == single[i])
-            << "delivery " << i << " diverged: tick "
-            << burst[i].when << " vs " << single[i].when;
+        auto batch = [&](int frames, double loss) {
+            link.setLossRate(loss);
+            s.shardQueue(0).schedule(
+                [&link, &a, frames] {
+                    for (int i = 0; i < frames; ++i)
+                        link.sendFrom(&a, Packet::makePattern(100));
+                },
+                s.curTick() + oneUs);
+            s.runFor(20 * oneUs);
+        };
+        batch(3, 0.0); // N = 5 frames before the reset, 2 dropped
+        batch(2, 1.0);
+        EXPECT_EQ(link.framesDropped(), 2u);
+
+        s.resetStats();
+        EXPECT_EQ(link.framesDropped(), 0u);
+        batch(4, 0.0); // M = 7 frames after it, 3 dropped
+        batch(3, 1.0);
+        EXPECT_EQ(linkStat(s, "frames"), 7.0);
+        EXPECT_EQ(linkStat(s, "bytes"), 700.0);
+        EXPECT_EQ(linkStat(s, "dropped"), 3.0);
+        EXPECT_EQ(link.framesDropped(), 3u);
+        EXPECT_EQ(b.got.size(), 3u + 4u);
+    }
 }
 
 TEST(FibTest, LearnsLooksUpAndUpdates)
@@ -274,7 +339,7 @@ TEST(SwitchTest, FibRecordsLearnedStations)
     std::vector<std::unique_ptr<SinkEndpoint>> hosts;
     for (std::uint32_t i = 0; i < 3; ++i) {
         links.push_back(std::make_unique<EthernetLink>(
-            s, "l" + std::to_string(i), 10e9, 0));
+            s, linkName(i), 10e9, 0));
         hosts.push_back(std::make_unique<SinkEndpoint>());
         sw.attachLink(i, *links[i]);
         links[i]->attachB(hosts[i].get());
@@ -298,7 +363,7 @@ TEST(SwitchTest, LearnsAndForwards)
     std::vector<std::unique_ptr<SinkEndpoint>> hosts;
     for (std::uint32_t i = 0; i < 3; ++i) {
         links.push_back(std::make_unique<EthernetLink>(
-            s, "l" + std::to_string(i), 10e9, 0));
+            s, linkName(i), 10e9, 0));
         hosts.push_back(std::make_unique<SinkEndpoint>());
         sw.attachLink(i, *links[i]);
         links[i]->attachB(hosts[i].get());
@@ -337,7 +402,7 @@ TEST(SwitchTest, BroadcastFloodsAllButSource)
     std::vector<std::unique_ptr<SinkEndpoint>> hosts;
     for (std::uint32_t i = 0; i < 4; ++i) {
         links.push_back(std::make_unique<EthernetLink>(
-            s, "l" + std::to_string(i), 10e9, 0));
+            s, linkName(i), 10e9, 0));
         hosts.push_back(std::make_unique<SinkEndpoint>());
         sw.attachLink(i, *links[i]);
         links[i]->attachB(hosts[i].get());

@@ -22,7 +22,6 @@
 
 #include "core/experiment.hh"
 #include "core/system_builder.hh"
-#include "netdev/ethernet_link.hh"
 #include "sim/flow_stats.hh"
 #include "sim/logging.hh"
 #include "sim/shard.hh"
@@ -127,50 +126,26 @@ fabricFlowJson(std::uint64_t seed, unsigned threads)
     return os.str();
 }
 
-/** Restore the process-wide link burst default on scope exit. */
-struct BurstDefaultGuard
-{
-    explicit BurstDefaultGuard(bool on)
-    {
-        netdev::EthernetLink::setBurstCoalescingDefault(on);
-    }
-
-    ~BurstDefaultGuard()
-    {
-        netdev::EthernetLink::setBurstCoalescingDefault(true);
-    }
-};
-
 } // namespace
 
 TEST(Pdes, BurstCoalescingInvisibleToModeledStateClassic)
 {
-    // The burst pump must not perturb the classic engine's modeled
-    // state *or its event count*: the digest covers both.
-    std::string off;
-    {
-        BurstDefaultGuard g(false);
-        off = classicIperfDigest(42);
-    }
-    ASSERT_FALSE(off.empty());
-    EXPECT_EQ(classicIperfDigest(42), off);
+    // The classic engine's same-queue link path (one local event per
+    // frame) and the sharded engine's split path (one mailbox post
+    // per frame) must agree on every modeled stat, the final tick
+    // and the event count.
+    std::string classic = classicIperfDigest(42);
+    ASSERT_FALSE(classic.empty());
+    EXPECT_EQ(clusterIperfDigest(42, 1), classic);
 }
 
 TEST(Pdes, BurstCoalescingInvisibleToModeledStateSharded)
 {
-    // Same claim on the sharded engine, where same-shard links pump
-    // and cross-shard links fall back to per-frame mailbox posts --
-    // across worker counts on both sides of the toggle.
-    std::string off1;
-    {
-        BurstDefaultGuard g(false);
-        off1 = clusterIperfDigest(42, 1);
-        ASSERT_FALSE(off1.empty());
-        EXPECT_EQ(clusterIperfDigest(42, 4), off1);
-    }
-    EXPECT_EQ(clusterIperfDigest(42, 1), off1);
-    EXPECT_EQ(clusterIperfDigest(42, 2), off1);
-    EXPECT_EQ(clusterIperfDigest(42, 4), off1);
+    // Same claim across worker counts on the sharded side.
+    std::string classic = classicIperfDigest(42);
+    ASSERT_FALSE(classic.empty());
+    EXPECT_EQ(clusterIperfDigest(42, 2), classic);
+    EXPECT_EQ(clusterIperfDigest(42, 4), classic);
 }
 
 TEST(Pdes, RepeatedConstructionByteIdenticalAcrossThreadCounts)

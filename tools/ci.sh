@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # One-command CI pipeline, organised as named stages:
 #
-#   build    configure + build the default tree
+#   build    configure + build the default tree (-O3, warnings are
+#            errors)
 #   test     tier-1 ctest suite
 #   lint     mcnsim_lint.py --check and mcnsim_analyze.py --check
 #            (the shard-safety analyzer: baseline drift + fixture
@@ -24,8 +25,10 @@
 #            counts, plus a path-hop sanity check on the fabric's
 #            flow telemetry
 #   pdes     parallel-engine gate: multi-thread selfchecks on
-#            iperf/ping/chaos plus a byte-compare of the stat JSON
-#            across worker counts (DESIGN.md §9)
+#            iperf/ping/chaos, a byte-compare of the stat JSON
+#            across worker counts (DESIGN.md §9), and a classic-
+#            engine run whose stats, final tick and event count
+#            must equal --threads=1's
 #   checked  -O2 build, -DMCNSIM_CHECKED=ON -DMCNSIM_WERROR=ON; ctest
 #            + the CLI determinism selfcheck across mcn levels 0-5
 #   asan     address+undefined sanitizers: ctest + CLI smoke
@@ -52,7 +55,7 @@ while [ $# -gt 0 ]; do
         --with-perf) STAGES="$STAGES,perf" ;;
         --stages) STAGES="$2"; shift ;;
         -h|--help)
-            sed -n '2,26p' "$0" | sed 's/^# \{0,1\}//'
+            sed -n '2,43p' "$0" | sed 's/^# \{0,1\}//'
             exit 0 ;;
         *) echo "unknown option: $1" >&2; exit 2 ;;
     esac
@@ -63,7 +66,7 @@ want() { case ",$STAGES," in *",$1,"*) return 0 ;; *) return 1 ;; esac; }
 
 if want build; then
     echo "== stage: build =="
-    cmake -B "$BUILD_DIR" -S "$REPO_ROOT"
+    cmake -B "$BUILD_DIR" -S "$REPO_ROOT" -DMCNSIM_WERROR=ON
     cmake --build "$BUILD_DIR" -j "$(nproc)"
 fi
 
@@ -258,25 +261,36 @@ if want pdes; then
     done
     # ...and the full stat JSON must byte-match across worker
     # counts for the same seed (meta.wall_seconds is host time and
-    # exempt).
+    # exempt). The classic engine (no --threads) must agree with
+    # them on every stat, the final tick and the event count; the
+    # rest of meta describes the run, not the model.
     PDES_DIR="$(mktemp -d)"
-    for t in 1 2 4; do
+    for t in classic 1 2 4; do
+        threads="--threads=$t"
+        [ "$t" = classic ] && threads=""
         "$BUILD_DIR/tools/mcnsim_cli" iperf --system=multi \
-            --servers=4 --threads="$t" --duration-ms=2 --seed=42 \
+            --servers=4 $threads --duration-ms=2 --seed=42 \
             --stats-json="$PDES_DIR/t$t.json" > /dev/null
     done
     python3 - "$PDES_DIR" <<'EOF'
 import json, sys, os
 d = sys.argv[1]
 docs = {}
-for t in (1, 2, 4):
+for t in ("classic", 1, 2, 4):
     with open(os.path.join(d, f"t{t}.json")) as f:
-        doc = json.load(f)
-    doc["meta"].pop("wall_seconds", None)
-    docs[t] = json.dumps(doc, sort_keys=True)
-assert docs[1] == docs[2] == docs[4], \
+        docs[t] = json.load(f)
+    docs[t]["meta"].pop("wall_seconds", None)
+dumps = {t: json.dumps(doc, sort_keys=True) for t, doc in docs.items()}
+assert dumps[1] == dumps[2] == dumps[4], \
     "stat JSON differs across --threads=1/2/4"
-print("pdes: stat JSON identical across threads 1/2/4")
+classic, one = docs["classic"], docs[1]
+assert classic["groups"] == one["groups"], \
+    "stat groups differ between the classic engine and --threads=1"
+for key in ("sim_ticks", "events_processed"):
+    assert classic["meta"][key] == one["meta"][key], \
+        f"meta.{key} differs between the classic engine and --threads=1"
+print("pdes: stat JSON identical across threads 1/2/4; classic "
+      "engine matches their stats, ticks and events")
 EOF
     rm -rf "$PDES_DIR"
 fi

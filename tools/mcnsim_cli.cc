@@ -116,8 +116,10 @@ parse(int argc, char **argv)
         if (s.rfind("--", 0) != 0)
             continue;
         auto eq = s.find('=');
+        // A std::string, not "1": GCC 12 at -O3 reports a false
+        // -Wrestrict overlap on assigning the literal.
         if (eq == std::string::npos)
-            a.flags[s.substr(2)] = "1";
+            a.flags[s.substr(2)] = std::string("1");
         else
             a.flags[s.substr(2, eq - 2)] = s.substr(eq + 1);
     }
