@@ -354,6 +354,13 @@ void
 FabricSystem::wireNotifier(netdev::EthernetSwitch &sw,
                            std::size_t sw_shard)
 {
+    // A notice goes straight to the source node, which need not be
+    // a neighbour of this switch: declare each such hop as a shard
+    // edge. It has the access-link latency, so the lookahead (the
+    // minimum edge latency) does not change.
+    for (auto &n : nodes_)
+        sw.simulation().addShardEdge(sw_shard, n->shard,
+                                     params_.net.linkLatency);
     sw.setUnreachableNotifier([this, &sw, sw_shard](
                                   net::Ipv4Addr src,
                                   net::Ipv4Addr dead) {

@@ -6,11 +6,20 @@
  * A conservative-lookahead window is three short phases (drain
  * mailboxes, pick the window end, execute), each a handful of
  * microseconds of host work, so the barrier must cost less than a
- * condition variable's syscall round trip. This one is a classic
- * generation-counting (sense-reversing) barrier: the last arriver
- * bumps the generation and wakes the rest, waiters spin briefly on
- * the generation word and then fall back to C++20 atomic wait so an
- * oversubscribed host does not burn cores.
+ * futex round trip. This one is a classic generation-counting
+ * (sense-reversing) barrier: the last arriver bumps the generation
+ * and wakes the rest. A waiter goes through three bounded stages:
+ *
+ *  1. spin on the generation word with a pause instruction, which
+ *     covers a typical phase without a syscall;
+ *  2. yield the CPU for a bounded number of rounds, so that on an
+ *     oversubscribed host (more runnable threads than cores) the
+ *     sibling it waits for gets the core instead of a spinner;
+ *  3. sleep in C++20 atomic wait (a futex), so a long phase or a
+ *     descheduled sibling cannot pin a core.
+ *
+ * The stages are bounded by round counts, not by a clock: host time
+ * stays out of src/sim apart from the run metadata and the profiler.
  *
  * Usage:
  *
@@ -30,8 +39,20 @@
 
 #include <atomic>
 #include <cstdint>
+#include <thread>
 
 namespace mcnsim::sim {
+
+/** Tell the core this is a spin-wait loop (x86 PAUSE, ARM YIELD). */
+inline void
+cpuRelax()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    asm volatile("yield" ::: "memory");
+#endif
+}
 
 /** Generation-counting barrier for a fixed set of threads. */
 class SpinBarrier
@@ -63,20 +84,28 @@ class SpinBarrier
             gen_.notify_all();
             return;
         }
-        // Spin a little first: phases are short, and the futex round
-        // trip of atomic wait usually costs more than the remaining
-        // phase time. Fall back to wait() so an oversubscribed or
-        // descheduled sibling cannot pin a core.
         for (int i = 0; i < spinRounds; ++i) {
             if (gen_.load(std::memory_order_acquire) != gen)
                 return;
+            cpuRelax();
+        }
+        for (int i = 0; i < yieldRounds; ++i) {
+            if (gen_.load(std::memory_order_acquire) != gen)
+                return;
+            std::this_thread::yield();
         }
         while (gen_.load(std::memory_order_acquire) == gen)
             gen_.wait(gen, std::memory_order_acquire);
     }
 
   private:
-    static constexpr int spinRounds = 4096;
+    // Short on purpose. On a 4-vCPU VM (PAUSE ~17 ns, an idle
+    // yield ~0.3 µs) this is ~2 µs of spinning and ~20 µs of idle
+    // yields. Longer spins were no faster with a core per worker
+    // and about 4x slower once two runs shared the cores (DESIGN.md §9,
+    // "Measuring scaling").
+    static constexpr int spinRounds = 128;
+    static constexpr int yieldRounds = 64;
 
     unsigned count_;
     std::atomic<unsigned> arrived_{0};

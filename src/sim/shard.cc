@@ -1,13 +1,40 @@
 #include "sim/shard.hh"
 
 #include <algorithm>
+#include <bit>
 #include <iterator>
+#include <thread>
+
+#ifdef __linux__
+#include <sched.h>
+#endif
 
 #include "sim/fault.hh"
 #include "sim/logging.hh"
 #include "sim/timeline.hh"
 
 namespace mcnsim::sim {
+
+namespace {
+
+/** CPUs this process may run on: its affinity mask where the OS
+ *  exposes one, else the hardware thread count, and at least 1. */
+unsigned
+usableCpus()
+{
+#ifdef __linux__
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+        const int n = CPU_COUNT(&set);
+        if (n > 0)
+            return static_cast<unsigned>(n);
+    }
+#endif
+    return std::max(1u, std::thread::hardware_concurrency());
+}
+
+} // namespace
 
 ShardSet::~ShardSet()
 {
@@ -26,11 +53,21 @@ ShardSet::addQueue(EventQueue *q)
     MCNSIM_ASSERT(!running_, "addQueue during run");
     q->setShardIndex(queues_.size());
     queues_.push_back(q);
-    const std::size_t n = queues_.size();
-    inbox_.resize(n);
-    for (auto &row : inbox_)
-        row.resize(n);
-    scratch_.resize(n);
+    inbox_.resize(queues_.size());
+    scratch_.resize(queues_.size());
+}
+
+void
+ShardSet::addNeighbour(Inbox &in, std::size_t nbr)
+{
+    auto it = std::lower_bound(in.srcs.begin(), in.srcs.end(), nbr);
+    if (it != in.srcs.end() && *it == nbr)
+        return;
+    const auto i = it - in.srcs.begin();
+    in.srcs.insert(it, nbr);
+    in.boxes.emplace(in.boxes.begin() + i);
+    if (in.posted.size() * 64 < in.srcs.size())
+        in.posted = decltype(in.posted)(in.posted.size() + 1);
 }
 
 void
@@ -38,6 +75,9 @@ ShardSet::addEdge(std::size_t a, std::size_t b, Tick latency)
 {
     MCNSIM_ASSERT(a < queues_.size() && b < queues_.size(),
                   "addEdge shard index out of range");
+    MCNSIM_ASSERT(!running_, "addEdge during run");
+    addNeighbour(inbox_[a], b);
+    addNeighbour(inbox_[b], a);
     // A zero-latency edge would leave no room for any window to
     // make progress; clamp to one tick (the finest wire we model
     // is still orders of magnitude above a tick).
@@ -71,7 +111,22 @@ ShardSet::post(std::size_t src, std::size_t dst, Tick when,
               "edge whose latency >= the lookahead (see DESIGN.md "
               "§9)");
     }
-    auto &mb = inbox_[dst][src];
+    // Same contract: only a registered edge bounds how soon src can
+    // affect dst, and only a registered edge has a mailbox.
+    Inbox &in = inbox_[dst];
+    auto it = std::lower_bound(in.srcs.begin(), in.srcs.end(), src);
+    if (it == in.srcs.end() || *it != src) {
+        panic("cross-shard post on an unregistered edge: event '",
+              name, "' from shard ", src, " to shard ", dst,
+              " at tick ", when, "; the two shards share no edge "
+              "(addEdge), so no latency bounds the post (see "
+              "DESIGN.md §9)");
+    }
+    const auto i = static_cast<std::size_t>(it - in.srcs.begin());
+    Mailbox &mb = in.boxes[i];
+    if (mb.msgs.empty())
+        in.posted[i / 64].fetch_or(std::uint64_t{1} << (i % 64),
+                                   std::memory_order_relaxed);
     mb.msgs.push_back(Msg{when, prio, static_cast<std::uint32_t>(src),
                           mb.nextSeq++, name, std::move(fn)});
 }
@@ -138,15 +193,24 @@ ShardSet::windowEndFor(Tick h) const
 void
 ShardSet::drainInbox(std::size_t dst)
 {
+    Inbox &in = inbox_[dst];
     auto &sc = scratch_[dst];
     sc.clear();
-    for (auto &mb : inbox_[dst]) {
-        if (mb.msgs.empty())
+    for (std::size_t w = 0; w < in.posted.size(); ++w) {
+        // No post runs during a drain (the barrier separates the
+        // phases), so a plain load and store suffice here.
+        std::uint64_t bits = in.posted[w].load(std::memory_order_relaxed);
+        if (bits == 0)
             continue;
-        sc.insert(sc.end(),
-                  std::make_move_iterator(mb.msgs.begin()),
-                  std::make_move_iterator(mb.msgs.end()));
-        mb.msgs.clear();
+        in.posted[w].store(0, std::memory_order_relaxed);
+        for (; bits != 0; bits &= bits - 1) {
+            auto &mb = in.boxes[w * 64 + static_cast<std::size_t>(
+                                             std::countr_zero(bits))];
+            sc.insert(sc.end(),
+                      std::make_move_iterator(mb.msgs.begin()),
+                      std::make_move_iterator(mb.msgs.end()));
+            mb.msgs.clear();
+        }
     }
     if (sc.empty())
         return;
@@ -243,10 +307,13 @@ ShardSet::run(Tick until, unsigned workers)
     if (queues_.size() == 1)
         return queues_[0]->run(until);
 
-    if (workers == 0)
-        workers = 1;
-    workers = std::min<unsigned>(
-        workers, static_cast<unsigned>(queues_.size()));
+    // More workers than shards or than usable CPUs only adds
+    // barrier participants that wait; the schedule does not depend
+    // on the count, so clamping cannot change results.
+    workers = std::clamp<unsigned>(
+        workers, 1,
+        std::min<unsigned>(static_cast<unsigned>(queues_.size()),
+                           usableCpus()));
     // Single-threaded machinery clamps execution to one worker: the
     // trace ring and timeline record global order, and an armed
     // fault plan draws from shared per-site RNG streams whose draw

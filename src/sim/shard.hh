@@ -20,13 +20,17 @@
  *    must land at or beyond the current window end, which the
  *    physical link latency guarantees.
  *  - Cross-shard events travel as mailbox messages, not direct
- *    schedule() calls. Each (src, dst) pair has a single-writer
- *    mailbox; messages carry a deterministic (tick, priority,
- *    srcShard, srcSeq) key and are merged into the destination
- *    queue -- in exactly that order -- at the window boundary.
- *    The merge order is therefore a pure function of simulation
- *    state, never of thread scheduling, which is why an N-thread
- *    run is byte-identical to a 1-thread run.
+ *    schedule() calls. Each registered (src, dst) edge has a
+ *    single-writer mailbox; messages carry a deterministic (tick,
+ *    priority, srcShard, srcSeq) key and are merged into the
+ *    destination queue -- in exactly that order -- at the window
+ *    boundary. The merge order is therefore a pure function of
+ *    simulation state, never of thread scheduling, which is why an
+ *    N-thread run is byte-identical to a 1-thread run.
+ *  - A window's drain costs O(posted edges), not O(shards^2): each
+ *    destination keeps its mailboxes parallel to its sorted
+ *    neighbour list, plus a bitmask of the ones posted to since the
+ *    last drain, and the drain visits only those.
  *
  * Usage (normally driven by Simulation, not directly):
  *
@@ -42,7 +46,8 @@
  * window enforces the lookahead contract unconditionally (every
  * build, not just checked): a message below the current window end
  * panics, because the destination shard may already have advanced
- * past that tick.
+ * past that tick, and so does a message between two shards that
+ * share no registered edge, because no edge latency bounds it.
  */
 
 #ifndef MCNSIM_SIM_SHARD_HH
@@ -86,7 +91,8 @@ class ShardSet
      * Declare an inter-shard communication edge with the given
      * minimum latency (a wire's propagation delay). The lookahead
      * is the minimum over all edges; builders call this once per
-     * link that crosses shards.
+     * link that crosses shards. Either endpoint may then post to
+     * the other; a repeated pair adds no second mailbox.
      */
     void addEdge(std::size_t a, std::size_t b, Tick latency);
 
@@ -97,10 +103,11 @@ class ShardSet
     /**
      * Deliver a cross-shard event: run @p fn at @p when on shard
      * @p dst. Inside a run the message is mailboxed and merged at
-     * the next window boundary; @p when must be at or beyond the
-     * current window end (guaranteed by any edge latency >= the
-     * lookahead) or this panics. Outside a run it schedules
-     * directly. @p name must outlive the event (literal/interned).
+     * the next window boundary; @p src and @p dst must share a
+     * registered edge, and @p when must be at or beyond the current
+     * window end (guaranteed by any edge latency >= the lookahead),
+     * or this panics. Outside a run it schedules directly. @p name
+     * must outlive the event (literal/interned).
      */
     void post(std::size_t src, std::size_t dst, Tick when,
               EventPriority prio, const char *name,
@@ -112,9 +119,10 @@ class ShardSet
      * logical schedule -- window boundaries, merge orders, per-queue
      * event order -- depends only on queue state, never on
      * @p workers, so any thread count produces byte-identical
-     * results. Observability that assumes a single thread (trace
-     * flags, timeline) clamps execution to one worker; results are
-     * unchanged for the same reason.
+     * results. @p workers is clamped to the shard count and to the
+     * CPUs this process may run on; observability that assumes a
+     * single thread (trace flags, timeline) clamps execution to one
+     * worker. Results are unchanged for the same reason.
      */
     Tick run(Tick until, unsigned workers);
 
@@ -145,6 +153,18 @@ class ShardSet
         std::uint64_t nextSeq = 0;
     };
 
+    /** One destination shard's inbound edges. */
+    struct Inbox
+    {
+        std::vector<std::size_t> srcs; ///< sorted neighbour shards
+        std::vector<Mailbox> boxes;    ///< boxes[i]: posts from srcs[i]
+        /** Bit i set: boxes[i] was posted to since the last drain.
+         *  Set by any source's worker, cleared by dst's worker;
+         *  the barrier orders the two. */
+        std::vector<std::atomic<std::uint64_t>> posted;
+    };
+
+    static void addNeighbour(Inbox &in, std::size_t nbr);
     void startThreads(unsigned workers);
     void workerMain(unsigned idx);
     void windowLoop(unsigned w);
@@ -154,9 +174,10 @@ class ShardSet
     static void atomicMinTick(std::atomic<Tick> &a, Tick v);
 
     std::vector<EventQueue *> queues_;
-    /** inbox_[dst][src]: written only by src's worker during a
-     *  window, drained only by dst's worker at the barrier. */
-    std::vector<std::vector<Mailbox>> inbox_;
+    /** inbox_[dst]: its mailboxes are written only by their source
+     *  shard's worker during a window and drained only by dst's
+     *  worker at the barrier. */
+    std::vector<Inbox> inbox_;
     /** Per-destination merge scratch (owned by dst's worker). */
     std::vector<std::vector<Msg>> scratch_;
     Tick lookahead_ = maxTick;

@@ -16,12 +16,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/experiment.hh"
 #include "core/system_builder.hh"
+#include "sim/barrier.hh"
 #include "sim/flow_stats.hh"
 #include "sim/logging.hh"
 #include "sim/shard.hh"
@@ -105,10 +109,10 @@ fabricIperfDigest(std::uint64_t seed, unsigned threads,
     return digestOf(s);
 }
 
-/** Flow-telemetry artifact of a fabric iperf run (fixed meta, so
- *  classic and sharded engines must emit identical bytes). */
+/** Modeled digest plus flow-telemetry artifact (fixed meta) of a
+ *  fabric iperf run; 0 threads = classic engine. */
 std::string
-fabricFlowJson(std::uint64_t seed, unsigned threads)
+fabricFlowRun(std::uint64_t seed, unsigned threads)
 {
     auto &tel = sim::FlowTelemetry::instance();
     sim::Simulation s(seed);
@@ -123,7 +127,7 @@ fabricFlowJson(std::uint64_t seed, unsigned threads)
     tel.disable();
     std::ostringstream os;
     tel.exportJson(os, {{"scenario", "fabric-iperf"}});
-    return os.str();
+    return digestOf(s) + "\n" + os.str();
 }
 
 } // namespace
@@ -197,15 +201,13 @@ TEST(Pdes, FabricIperfByteIdenticalAcrossThreadCounts)
 
 TEST(Pdes, FabricFlowTelemetryAgreesClassicVsSharded)
 {
-    // Event *counts* differ between the classic and sharded engines
-    // (mailbox hops), so digests are not comparable -- but the
-    // modeled traffic is: the flow-telemetry artifact (per-flow
-    // bytes, RTTs, per-hop latency, path-length histogram) must be
-    // byte-identical between the classic engine and a 4-worker
-    // sharded run.
-    std::string classic = fabricFlowJson(7, 0);
+    // The classic engine and a 4-worker sharded run must agree on
+    // every modeled stat, the final tick and the event count, and
+    // emit byte-identical flow telemetry (per-flow bytes, RTTs,
+    // per-hop latency, path-length histogram).
+    std::string classic = fabricFlowRun(7, 0);
     ASSERT_FALSE(classic.empty());
-    EXPECT_EQ(classic, fabricFlowJson(7, 4));
+    EXPECT_EQ(classic, fabricFlowRun(7, 4));
 }
 
 TEST(Pdes, FabricLookaheadDerivedFromAccessLinkLatency)
@@ -300,6 +302,82 @@ TEST(Pdes, CrossShardPostBelowHorizonPanics)
                   std::string::npos)
             << e.what();
     }
+}
+
+TEST(Pdes, PostOnUnregisteredEdgePanics)
+{
+    // Shards 0 and 1 share an edge; shards 0 and 2 do not. A post
+    // at the lookahead horizon is on time over the edge, and is
+    // refused loudly without one: no edge latency bounds how soon
+    // shard 0 may affect shard 2.
+    auto postAtHorizon = [](std::size_t dst) {
+        sim::Simulation s;
+        s.enableSharding();
+        std::size_t one = s.newShard();
+        s.newShard();
+        s.addShardEdge(0, one, 1 * sim::oneUs);
+        sim::Tick fired = 0;
+        s.shardQueue(0).schedule(
+            [&] {
+                sim::Tick when =
+                    s.shardQueue(0).curTick() + s.shardLookahead();
+                s.postCrossShard(0, dst, when,
+                                 sim::EventPriority::Default,
+                                 "test.cross", [&] {
+                                     fired = s.shardQueue(dst)
+                                                 .curTick();
+                                 });
+            },
+            100 * sim::oneNs, "test.src");
+        s.run(10 * sim::oneUs);
+        return fired;
+    };
+    EXPECT_EQ(postAtHorizon(1), 100 * sim::oneNs + 1 * sim::oneUs);
+    try {
+        postAtHorizon(2);
+        FAIL() << "expected an unregistered-edge panic";
+    } catch (const sim::PanicError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "cross-shard post on an unregistered edge: "
+                      "event 'test.cross' from shard 0 to shard 2"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(Pdes, BarrierOversubscribedFinishes)
+{
+    // More threads than cores: a waiter must hand its core to the
+    // threads it waits for (yield, then sleep) rather than spin
+    // through their time slices. Every thread must see every phase
+    // complete: all n arrivals are in before anyone is released.
+    const unsigned cores =
+        std::max(1u, std::thread::hardware_concurrency());
+    const unsigned n = std::min(2 * cores + 1, 16u);
+    constexpr int phases = 10000;
+    sim::SpinBarrier bar(n);
+    std::vector<std::atomic<unsigned>> arrived(phases);
+    std::atomic<unsigned> early{0};
+    const auto t0 = std::chrono::steady_clock::now();
+    std::vector<std::thread> threads;
+    for (unsigned i = 0; i < n; ++i) {
+        threads.emplace_back([&] {
+            for (int p = 0; p < phases; ++p) {
+                arrived[p].fetch_add(1, std::memory_order_relaxed);
+                bar.arriveAndWait();
+                if (arrived[p].load(std::memory_order_relaxed) != n)
+                    early.fetch_add(1, std::memory_order_relaxed);
+            }
+        });
+    }
+    for (auto &t : threads)
+        t.join();
+    const auto wall = std::chrono::steady_clock::now() - t0;
+    EXPECT_EQ(early.load(), 0u);
+    for (int p = 0; p < phases; ++p)
+        ASSERT_EQ(arrived[p].load(), n) << "phase " << p;
+    EXPECT_LT(wall, std::chrono::seconds(60))
+        << n << " threads, " << phases << " phases";
 }
 
 TEST(Pdes, ShardSetRunsWindowsAndAgreesOnFinalTick)

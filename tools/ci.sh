@@ -26,9 +26,10 @@
 #            flow telemetry
 #   pdes     parallel-engine gate: multi-thread selfchecks on
 #            iperf/ping/chaos, a byte-compare of the stat JSON
-#            across worker counts (DESIGN.md §9), and a classic-
-#            engine run whose stats, final tick and event count
-#            must equal --threads=1's
+#            across worker counts 1/2/4/2 x nproc on the 4-server
+#            multi and a small fat tree (DESIGN.md §9), and
+#            classic-engine runs whose stats, final tick and event
+#            count must equal --threads=1's
 #   checked  -O2 build, -DMCNSIM_CHECKED=ON -DMCNSIM_WERROR=ON; ctest
 #            + the CLI determinism selfcheck across mcn levels 0-5
 #   asan     address+undefined sanitizers: ctest + CLI smoke
@@ -55,7 +56,7 @@ while [ $# -gt 0 ]; do
         --with-perf) STAGES="$STAGES,perf" ;;
         --stages) STAGES="$2"; shift ;;
         -h|--help)
-            sed -n '2,43p' "$0" | sed 's/^# \{0,1\}//'
+            sed -n '2,44p' "$0" | sed 's/^# \{0,1\}//'
             exit 0 ;;
         *) echo "unknown option: $1" >&2; exit 2 ;;
     esac
@@ -263,34 +264,51 @@ if want pdes; then
     # counts for the same seed (meta.wall_seconds is host time and
     # exempt). The classic engine (no --threads) must agree with
     # them on every stat, the final tick and the event count; the
-    # rest of meta describes the run, not the model.
+    # rest of meta describes the run, not the model. Two scenarios:
+    # the 4-server multi and a small fat tree. 2 x nproc workers
+    # exercise the clamp to usable CPUs; any phase longer than the
+    # barrier's short spin takes its yield and sleep stages.
     PDES_DIR="$(mktemp -d)"
-    for t in classic 1 2 4; do
-        threads="--threads=$t"
-        [ "$t" = classic ] && threads=""
-        "$BUILD_DIR/tools/mcnsim_cli" iperf --system=multi \
-            --servers=4 $threads --duration-ms=2 --seed=42 \
-            --stats-json="$PDES_DIR/t$t.json" > /dev/null
+    over=$((2 * $(nproc)))
+    for sc in multi fattree; do
+        if [ "$sc" = multi ]; then
+            args="--system=multi --servers=4 --duration-ms=2 --seed=42"
+        else
+            args="--topology=fattree --racks=4 --nodes-per-rack=4"
+            args="$args --spines=2 --duration-ms=1 --seed=7"
+        fi
+        for t in classic 1 2 4 "$over"; do
+            threads="--threads=$t"
+            [ "$t" = classic ] && threads=""
+            "$BUILD_DIR/tools/mcnsim_cli" iperf $args $threads \
+                --stats-json="$PDES_DIR/$sc.t$t.json" > /dev/null
+        done
     done
-    python3 - "$PDES_DIR" <<'EOF'
+    python3 - "$PDES_DIR" "$over" <<'EOF'
 import json, sys, os
-d = sys.argv[1]
-docs = {}
-for t in ("classic", 1, 2, 4):
-    with open(os.path.join(d, f"t{t}.json")) as f:
-        docs[t] = json.load(f)
-    docs[t]["meta"].pop("wall_seconds", None)
-dumps = {t: json.dumps(doc, sort_keys=True) for t, doc in docs.items()}
-assert dumps[1] == dumps[2] == dumps[4], \
-    "stat JSON differs across --threads=1/2/4"
-classic, one = docs["classic"], docs[1]
-assert classic["groups"] == one["groups"], \
-    "stat groups differ between the classic engine and --threads=1"
-for key in ("sim_ticks", "events_processed"):
-    assert classic["meta"][key] == one["meta"][key], \
-        f"meta.{key} differs between the classic engine and --threads=1"
-print("pdes: stat JSON identical across threads 1/2/4; classic "
-      "engine matches their stats, ticks and events")
+d, over = sys.argv[1], sys.argv[2]
+counts = ["1", "2", "4", over]
+for sc in ("multi", "fattree"):
+    docs = {}
+    for t in ["classic"] + counts:
+        with open(os.path.join(d, f"{sc}.t{t}.json")) as f:
+            docs[t] = json.load(f)
+        docs[t]["meta"].pop("wall_seconds", None)
+    dumps = {t: json.dumps(doc, sort_keys=True) for t, doc in docs.items()}
+    for t in counts[1:]:
+        assert dumps[t] == dumps["1"], \
+            f"{sc}: stat JSON differs between --threads=1 and --threads={t}"
+    classic, one = docs["classic"], docs["1"]
+    assert classic["groups"] == one["groups"], \
+        f"{sc}: stat groups differ between the classic engine and " \
+        "--threads=1"
+    for key in ("sim_ticks", "events_processed"):
+        assert classic["meta"][key] == one["meta"][key], \
+            f"{sc}: meta.{key} differs between the classic engine " \
+            "and --threads=1"
+    print(f"pdes: {sc} stat JSON identical across threads "
+          f"{'/'.join(counts)}; classic engine matches their stats, "
+          "ticks and events")
 EOF
     rm -rf "$PDES_DIR"
 fi
