@@ -232,7 +232,7 @@ class ByteRing
         std::size_t cap = cap_ ? cap_ : 1024;
         while (cap < need)
             cap *= 2;
-        // lint-ok: packet-alloc (socket stream store, not packets)
+        // analyze-ok: packet-alloc (socket stream store, not packets)
         auto fresh = std::make_unique_for_overwrite<std::uint8_t[]>(cap);
         std::uint8_t *dst = fresh.get();
         if (litSize_)

@@ -89,7 +89,7 @@ class Simulation
      * such as the preset name), the stat "groups", and -- when the
      * event queue's profiler is enabled -- an "event_profile" array
      * of {name, count, host_ns} rows sorted by host time.
-     * schema_version 2; version 1 (groups only) remains available
+     * schema_version 3; version 1 (groups only) remains available
      * via StatRegistry::dumpJson.
      */
     void dumpStatsJson(std::ostream &os);

@@ -2,13 +2,15 @@
 """Perf-regression gate over the BENCH_*.json artifacts.
 
 Compares freshly generated artifacts against the committed baseline
-(tools/perf_baseline.json) and exits nonzero when either
+(tools/perf_baseline.json) and exits nonzero when
 
   * a perf metric (host-time: keys ending in ``_ns``, plus
     ``wall_seconds``) regressed past its tolerance band, or
   * a modeled metric (everything else: simulated throughput, latency,
     energy, ... -- deterministic outputs of the simulation) drifted at
-    all, which means simulator *behavior* changed, not just speed.
+    all, which means simulator *behavior* changed, not just speed, or
+  * an artifact emits a modeled metric the baseline does not pin, so
+    every modeled output stays watched.
 
 Perf metrics get a generous band (shared CI boxes are noisy; the
 micro artifact already keeps the fastest of several repetitions) and
@@ -156,8 +158,13 @@ def check_bench(bench, base_entry, art_dir, problems, notes,
                     f"rerun with --update")
 
     for key in sorted(set(fresh) - set(base)):
-        notes.append(f"{bench}.{key}: not in baseline "
-                     f"(new metric; --update to start tracking)")
+        if is_perf_metric(key):
+            notes.append(f"{bench}.{key}: not in baseline "
+                         f"(new metric; --update to start tracking)")
+        else:
+            problems.append(
+                f"{bench}.{key}: modeled metric not in baseline; "
+                f"pin it so its drift is gated")
 
 
 def print_delta_table(deltas):

@@ -4,9 +4,9 @@
 #   build    configure + build the default tree (-O3, warnings are
 #            errors)
 #   test     tier-1 ctest suite
-#   lint     mcnsim_lint.py --check and mcnsim_analyze.py --check
-#            (the shard-safety analyzer: baseline drift + fixture
-#            self-test), plus clang-tidy when installed
+#   lint     mcnsim_analyze.py --check (the source scanner:
+#            baseline drift + fixture self-test), plus clang-tidy
+#            when installed
 #   benches  regenerate bench artifacts (perf gate skipped -- CI
 #            boxes are too noisy; run tools/run_benches.sh locally)
 #   perf     regenerate bench artifacts AND run the
@@ -56,7 +56,7 @@ while [ $# -gt 0 ]; do
         --with-perf) STAGES="$STAGES,perf" ;;
         --stages) STAGES="$2"; shift ;;
         -h|--help)
-            sed -n '2,44p' "$0" | sed 's/^# \{0,1\}//'
+            sed -n '2,/^[^#]/s/^# \{0,1\}//p' "$0"
             exit 0 ;;
         *) echo "unknown option: $1" >&2; exit 2 ;;
     esac
@@ -94,7 +94,6 @@ fi
 if want lint; then
     echo
     echo "== stage: lint =="
-    python3 "$REPO_ROOT/tools/mcnsim_lint.py" --check
     python3 "$REPO_ROOT/tools/mcnsim_analyze.py" --check
     if command -v clang-tidy > /dev/null 2>&1; then
         cmake -B "$BUILD_DIR" -S "$REPO_ROOT" \
@@ -105,7 +104,7 @@ if want lint; then
     else
         echo "clang-tidy not installed; skipping (config-on-record" \
              "in .clang-tidy; gating comes from -Wconversion +" \
-             "mcnsim_lint.py)"
+             "mcnsim_analyze.py)"
     fi
 fi
 

@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
-"""Shard-safety static analyzer for the mcnsim PDES engine.
+"""Source scanner for mcnsim model code (src/).
 
 The parallel engine (DESIGN.md §9) promises byte-identical output
 for every --threads=N. That guarantee is a *property of the model
 code*, not of the engine: one mutable process-global, one
 pointer-ordered container iteration, one host-entropy read, and the
-promise silently dies. This analyzer machine-checks the determinism
-contract (DESIGN.md §11) across src/:
+promise silently dies. R1-R5 machine-check that determinism contract
+(DESIGN.md §11); R6-R11 check the conventions that keep the packet
+path zero-copy, tracing cheap when off, and stats and fault sites
+addressable by name.
 
   R1 shard-static      No mutable namespace-scope or function-local
                        static/thread_local state in model code
@@ -19,8 +21,7 @@ contract (DESIGN.md §11) across src/:
                        keyed on pointers: iteration order is a
                        function of allocator addresses, i.e. of
                        thread scheduling. Use an ordered container
-                       or sort before use, and annotate with
-                       // analyze-ok: ptr-unordered-iter (<why>).
+                       or sort before use.
 
   R3 host-entropy      No rand()/srand()/std::random_device and no
                        host wall-clock reads in model code: modeled
@@ -28,8 +29,7 @@ contract (DESIGN.md §11) across src/:
                        and the seeded RNG (sim/random.hh). The
                        run-metadata / event-profiler files that
                        legitimately read host time live in
-                       HOST_TIME_ALLOW. (Subsumes the old
-                       mcnsim_lint.py `wall-clock` rule.)
+                       HOST_TIME_ALLOW.
 
   R4 cross-shard-schedule  No direct schedule()/scheduleIn()/
                        reschedule() on a queue obtained via
@@ -37,10 +37,9 @@ contract (DESIGN.md §11) across src/:
                        belong to another shard's worker. Cross-shard
                        work goes through Simulation::postCrossShard
                        (the mailbox, DESIGN.md §9). Also tracks
-                       local aliases of a shardQueue() result.
-                       (Subsumes the old mcnsim_lint.py
-                       `cross-shard` rule; the engine itself,
-                       src/sim/, owns its queues and is exempt.)
+                       local aliases of a shardQueue() result. The
+                       engine itself, src/sim/, owns its queues and
+                       is exempt.
 
   R5 atomic-memory-order  Atomics on the engine's synchronization
                        paths (sim/shard.*, sim/barrier.hh, and the
@@ -52,29 +51,75 @@ contract (DESIGN.md §11) across src/:
                        =, +=) on atomics are flagged for the same
                        reason.
 
-Analysis modes
-  With the `clang` python bindings and a compile_commands.json
-  (CMAKE_EXPORT_COMPILE_COMMANDS=ON) present, declarations are
-  resolved through libclang's AST. Otherwise the analyzer announces
-  a loud skip -- exactly like ci.sh's clang-tidy step -- and falls
-  back to a scope-tracking textual analysis (comment/string
-  stripping, brace-scope classification, multi-line declaration
-  joining). The textual mode is the CI gate of record; AST mode
-  additionally prunes its known false-positive classes (constructor
-  -call globals, function pointers).
+  R6 packet-cdata      Read-only packet accesses must use cdata():
+                       the mutable data() overload triggers a
+                       copy-on-write detach, so calling it for a read
+                       silently clones the buffer and wrecks the
+                       zero-copy fan-out path. Sites that write
+                       through data() on the line or a neighbour
+                       (assignment, compound assignment, ++/--)
+                       pass.
+
+  R7 trace-gate        Trace::emit() must sit behind a one-branch
+                       Trace::anyActive() / active() gate within the
+                       5 lines above, so disabled tracing costs one
+                       predictable branch (EventQueue::popAndRun has
+                       the pattern). The trace machinery is exempt.
+
+  R8 fault-site        FAULT_POINT() takes a string literal matching
+                       [a-z][a-z0-9-]*: site names are the addressing
+                       scheme for fault specs ("mcn1.iface.
+                       rx-irq-lost"), so a computed or irregular name
+                       makes a site unreachable from the spec
+                       grammar. sim/fault.* is exempt.
+
+  R9 packet-alloc      Packet byte storage comes from the slab pool
+                       (net/buffer_pool.hh): a raw `new uint8_t[]`,
+                       `make_unique[_for_overwrite]<uint8_t[]>` or
+                       heap byte vector bypasses the size-classed
+                       free lists and the checked build's recycle
+                       poisoning. The pool's own carve path is
+                       exempt; non-packet byte storage annotates the
+                       site.
+
+  R10 stat-name        Stat constructor names (Scalar / Average /
+                       Histogram / LogHistogram / QueueStat) must be
+                       literal, dotted lowerCamel: "txBytes",
+                       "txRing.usedBytes". Stats are addressed as
+                       <group>.<stat> by --series-filter, check_perf
+                       keys and flow_report, so a computed or
+                       irregular name hides the stat. sim/stats.* is
+                       exempt.
+
+  R11 this-capture     An event-queue schedule()/scheduleIn()/
+                       reschedule() callback capturing [this] must
+                       belong to a SimObject, which the Simulation
+                       keeps alive until the queue drains. The owner
+                       counts as one when the file's header declares
+                       a direct SimObject subclass. Other owners
+                       cancel the event in their destructor and
+                       annotate the site.
+
+Analysis
+  Textual and scope-tracking: comments and string/char literal
+  bodies are blanked first (column-preserving), braces classify
+  scopes, multi-line declarations are joined. R8 and R10 read their
+  literal back from the raw line at the matched column.
 
 Suppressions
-  R1 wants MCNSIM_SHARD_SAFE("reason") on the declaration line or
-  up to 5 lines above. Every rule also accepts
+  One comment form for every rule, on the flagged line or above it:
       // analyze-ok: <rule> (<why this site is safe>)
-  in the same window. Both require a non-empty justification.
+  The reason must be non-empty. It reaches 5 lines up for R1-R5,
+  4 for this-capture and 1 for R6-R10. R1 also accepts
+  MCNSIM_SHARD_SAFE("reason") in its window.
 
 Baseline
   tools/analyze_baseline.json records every annotated site plus any
   grandfathered (unfixed, unannotated) violations. --check fails on
-  any violation or annotation drift from the baseline, so new
-  findings fail CI while the tracked set stays reviewable.
-  --update-baseline rewrites it after a sweep.
+  any violation or annotation drift from the baseline (counted per
+  file, rule and symbol), so a new finding or suppression fails CI
+  while the tracked set stays reviewable. --update-baseline
+  rewrites it after a sweep.
 
 Usage
   tools/mcnsim_analyze.py                  # report findings, exit 0
@@ -82,7 +127,6 @@ Usage
   tools/mcnsim_analyze.py --json OUT.json  # schema'd findings artifact
   tools/mcnsim_analyze.py --update-baseline
   tools/mcnsim_analyze.py --self-test      # classify tests/analyze_fixtures
-  tools/mcnsim_analyze.py --mode textual|ast|auto
 """
 
 import argparse
@@ -90,13 +134,22 @@ import json
 import pathlib
 import re
 import sys
+from collections import Counter
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 BASELINE = REPO / "tools" / "analyze_baseline.json"
 FIXTURES = REPO / "tests" / "analyze_fixtures"
 
 RULES = ("shard-static", "ptr-unordered-iter", "host-entropy",
-         "cross-shard-schedule", "atomic-memory-order")
+         "cross-shard-schedule", "atomic-memory-order",
+         "packet-cdata", "trace-gate", "fault-site", "packet-alloc",
+         "stat-name", "this-capture")
+
+# Lines above a site that an analyze-ok comment may sit on (default
+# 5). R6-R11 keep narrower windows so a comment only covers the
+# statement right below it.
+SUPPRESS_BACK = {"packet-cdata": 1, "trace-gate": 1, "fault-site": 1,
+                 "packet-alloc": 1, "stat-name": 1, "this-capture": 4}
 
 # R3: files allowed to read host time (run-elapsed metadata, the
 # opt-in host-time event profiler). Entropy (rand/random_device) has
@@ -130,6 +183,61 @@ CROSS_SHARD_RE = re.compile(
 SHARD_ALIAS_RE = re.compile(
     r"(?:auto|EventQueue)\s*&\s*(\w+)\s*=\s*[^;]*\bshardQueue\s*\("
 )
+# R6: a packet-ish receiver calling the mutable data() overload,
+# unless something writes through it.
+PACKET_DATA_RE = re.compile(
+    r"\b(\w*(?:pkt|packet|frame|seg|msg)\w*)\s*(?:->|\.)\s*data\s*\(\)",
+    re.IGNORECASE,
+)
+WRITE_THROUGH_RE = re.compile(
+    r"data\s*\(\)\s*(?:\[[^\]]*\])?\s*"
+    r"(?:=[^=]|\+=|-=|\^=|\|=|&=|\+\+|--)"
+)
+
+# R7: the trace machinery emits without a gate by construction.
+TRACE_GATE_EXEMPT = {
+    "src/sim/logging.hh", "src/sim/logging.cc",
+    "src/sim/trace_ring.hh", "src/sim/trace_ring.cc",
+}
+TRACE_EMIT_RE = re.compile(r"\bTrace::emit\s*\(")
+TRACE_GATE_RE = re.compile(r"\banyActive\s*\(\)|\bactive\s*\(\)")
+
+# R8: FAULT_POINT("point") takes a well-formed literal.
+FAULT_SITE_EXEMPT = {"src/sim/fault.hh", "src/sim/fault.cc"}
+FAULT_POINT_RE = re.compile(r"\bFAULT_POINT\s*\(\s*([^)]*)\)")
+FAULT_POINT_OK_RE = re.compile(r'^"[a-z][a-z0-9-]*"$')
+
+# R9: raw heap byte storage; the slab pool owns the only carve sites.
+PACKET_ALLOC_EXEMPT = {
+    "src/net/buffer_pool.hh", "src/net/buffer_pool.cc",
+}
+PACKET_ALLOC_RE = re.compile(
+    r"\bnew\s+(?:std::)?uint8_t\s*\["
+    r"|make_unique(?:_for_overwrite)?\s*<\s*(?:std::)?uint8_t\s*\[\]"
+    r"|make_shared\s*<\s*(?:std::)?vector\s*<\s*(?:std::)?uint8_t"
+    r"|\bnew\s+(?:std::)?vector\s*<\s*(?:std::)?uint8_t"
+)
+
+# R10: a stat being constructed -- type, name, then the first
+# constructor argument: a literal (group 1) or any other expression
+# (group 2), so computed names are flagged too.
+STAT_NAME_EXEMPT = {"src/sim/stats.hh", "src/sim/stats.cc"}
+STAT_CTOR_RE = re.compile(
+    r"\b(?:Scalar|Average|Histogram|LogHistogram|QueueStat)\s+"
+    r"\w+\s*[({]\s*(?:\"([^\"]*)\"|([^,)}]+))"
+)
+STAT_NAME_OK_RE = re.compile(
+    r"^[a-z][a-zA-Z0-9]*(\.[a-z][a-zA-Z0-9]*)*$")
+
+# R11: [this] captured by a callback handed to an event queue.
+THIS_CAPTURE_RE = re.compile(r"\[\s*this\s*\]")
+THIS_CALLEE_RE = re.compile(r"\[\s*this\s*\][^{]*\{\s*(\w+)")
+QUEUE_SCHED_RE = re.compile(
+    r"(?:eventQueue\s*\(\)|queue_|\bq_|\bqueue\s*\(\))\s*\.\s*"
+    r"(?:schedule|scheduleIn|reschedule)\s*\("
+)
+SIMOBJECT_RE = re.compile(r":\s*public\s+(?:sim::)?SimObject\b")
+
 ANNOT_RE = re.compile(r'MCNSIM_SHARD_SAFE\s*\(\s*"(.*?)"')
 OK_RE = re.compile(r"//\s*analyze-ok:\s*([\w-]+)\s*\(([^)]+)\)")
 EXPECT_RE = re.compile(r"//\s*expect:\s*([\w\-, ]+)")
@@ -274,11 +382,12 @@ def balanced_args(code_lines, i, open_idx, max_join=4):
     return "".join(out)
 
 
-def suppression(raw_lines, i, rule, back=5):
+def suppression(raw_lines, i, rule):
     """('shard-safe'|'analyze-ok', reason) when line i (0-based) or
-    one of the @p back lines above carries a valid annotation for
-    @p rule, else None. R1 accepts both forms; other rules only
+    one of the SUPPRESS_BACK lines above carries a valid annotation
+    for @p rule, else None. R1 accepts both forms; other rules only
     analyze-ok."""
+    back = SUPPRESS_BACK.get(rule, 5)
     window = raw_lines[max(0, i - back):i + 1]
     if rule == "shard-static":
         joined = " ".join(window)
@@ -528,12 +637,111 @@ class FileAnalysis:
                     f"operator form on atomic '{sym}' is seq-cst; "
                     "use the explicit memory-order member form")
 
+    # -- R6 ----------------------------------------------------------
+    def r6(self, findings):
+        for i, line in enumerate(self.code):
+            m = PACKET_DATA_RE.search(line)
+            if not m:
+                continue
+            window = " ".join(self.code[max(0, i - 1):i + 2])
+            if not WRITE_THROUGH_RE.search(window):
+                findings.emit(
+                    self, i, "packet-cdata", m.group(1),
+                    f"read-only access via {m.group(1)}->data() "
+                    "detaches a shared CoW buffer; use cdata()")
+
+    # -- R7 ----------------------------------------------------------
+    def r7(self, findings):
+        if self.rel in TRACE_GATE_EXEMPT:
+            return
+        for i, line in enumerate(self.code):
+            if not TRACE_EMIT_RE.search(line):
+                continue
+            window = " ".join(self.code[max(0, i - 5):i + 1])
+            if not TRACE_GATE_RE.search(window):
+                findings.emit(
+                    self, i, "trace-gate", "Trace::emit",
+                    "Trace::emit() without a Trace::anyActive()/"
+                    "active() gate on the path")
+
+    # -- R8 ----------------------------------------------------------
+    def r8(self, findings):
+        if self.rel in FAULT_SITE_EXEMPT:
+            return
+        for i, line in enumerate(self.code):
+            m = FAULT_POINT_RE.search(line)
+            if not m:
+                continue
+            arg = self.raw[i][m.start(1):m.end(1)].strip()
+            if not FAULT_POINT_OK_RE.match(arg):
+                findings.emit(
+                    self, i, "fault-site", arg,
+                    f"FAULT_POINT({arg}) must take a string literal "
+                    'matching "[a-z][a-z0-9-]*" so fault specs can '
+                    "address the site")
+
+    # -- R9 ----------------------------------------------------------
+    def r9(self, findings):
+        if self.rel in PACKET_ALLOC_EXEMPT:
+            return
+        for i, line in enumerate(self.code):
+            m = PACKET_ALLOC_RE.search(line)
+            if m:
+                findings.emit(
+                    self, i, "packet-alloc", m.group(0),
+                    "raw heap allocation of packet byte storage; use "
+                    "BufferPool::acquire (net/buffer_pool.hh) or "
+                    "annotate a non-packet use")
+
+    # -- R10 ---------------------------------------------------------
+    def r10(self, findings):
+        if self.rel in STAT_NAME_EXEMPT:
+            return
+        for i, line in enumerate(self.code):
+            m = STAT_CTOR_RE.search(line)
+            if not m:
+                continue
+            # The code line has the literal's body blanked; read the
+            # name back from the raw line at the same columns.
+            g = 1 if m.group(1) is not None else 2
+            name = self.raw[i][m.start(g):m.end(g)].strip()
+            if g == 2:
+                findings.emit(
+                    self, i, "stat-name", name,
+                    f"stat name {name!r} is not a string literal; "
+                    "computed names hide the stat from filters and "
+                    "report tools")
+            elif not STAT_NAME_OK_RE.match(name):
+                findings.emit(
+                    self, i, "stat-name", name,
+                    f'stat name "{name}" must match '
+                    'lowerCamel[.lowerCamel...] (e.g. "txBytes", '
+                    '"txRing.usedBytes")')
+
+    # -- R11 ---------------------------------------------------------
+    def r11(self, findings):
+        header = (self.code if self.path.suffix == ".hh"
+                  else self.sibling_code)
+        if SIMOBJECT_RE.search("\n".join(header)):
+            return
+        for i, line in enumerate(self.code):
+            if not THIS_CAPTURE_RE.search(line):
+                continue
+            window = " ".join(self.code[max(0, i - 3):i + 1])
+            if QUEUE_SCHED_RE.search(window):
+                m = THIS_CALLEE_RE.search(line)
+                findings.emit(
+                    self, i, "this-capture",
+                    m.group(1) if m else "this",
+                    "event-queue callback captures [this] but the "
+                    "owner is not a SimObject; the object may die "
+                    "before the callback fires")
+
     def run(self, findings):
-        self.r1(findings)
-        self.r2(findings)
-        self.r3(findings)
-        self.r4(findings)
-        self.r5(findings)
+        for rule in (self.r1, self.r2, self.r3, self.r4, self.r5,
+                     self.r6, self.r7, self.r8, self.r9, self.r10,
+                     self.r11):
+            rule(findings)
 
 
 class Findings:
@@ -553,76 +761,6 @@ class Findings:
         else:
             entry["message"] = message
             self.violations.append(entry)
-
-
-def ast_refine(findings, build_dir):
-    """AST mode: prune textual false positives through libclang.
-
-    Re-checks each R1 finding's location against the AST (must be a
-    VarDecl with static storage duration and a non-const type) and
-    each R2 site against a range-for/iterator call. Raises on any
-    environment problem; the caller falls back loudly."""
-    import clang.cindex as ci  # noqa -- optional dependency
-
-    index = ci.Index.create()
-    cdb = ci.CompilationDatabase.fromDirectory(str(build_dir))
-    tus = {}
-
-    def tu_for(rel):
-        src = rel
-        if rel.endswith(".hh"):  # headers ride their sibling TU
-            src = rel[:-3] + ".cc"
-        if src in tus:
-            return tus[src]
-        cmds = cdb.getCompileCommands(str(REPO / src))
-        if not cmds:
-            tus[src] = None
-            return None
-        args = [a for a in list(cmds[0].arguments)[1:-1]
-                if a not in ("-c", "-o")]
-        tus[src] = index.parse(str(REPO / src), args=args)
-        return tus[src]
-
-    def decl_at(tu, rel, line):
-        hits = []
-
-        def walk(c):
-            try:
-                loc = c.location
-                if (loc.file and loc.file.name.endswith(rel)
-                        and loc.line == line):
-                    hits.append(c)
-            except ValueError:
-                pass
-            for ch in c.get_children():
-                walk(ch)
-
-        walk(tu.cursor)
-        return hits
-
-    kept = []
-    for v in findings.violations:
-        if v["rule"] != "shard-static":
-            kept.append(v)
-            continue
-        tu = tu_for(v["file"])
-        if tu is None:
-            kept.append(v)
-            continue
-        cursors = decl_at(tu, v["file"], v["line"])
-        ok = False
-        for c in cursors:
-            if c.kind != ci.CursorKind.VAR_DECL:
-                continue
-            sc = c.storage_class
-            static_like = sc in (ci.StorageClass.STATIC,
-                                 ci.StorageClass.NONE)
-            if static_like and not c.type.is_const_qualified():
-                ok = True
-        if ok or not cursors:
-            kept.append(v)  # confirmed (or unresolvable: keep)
-    findings.violations = kept
-    return findings
 
 
 def baseline_key(e):
@@ -661,22 +799,23 @@ def write_baseline(findings):
 
 def check_against_baseline(findings):
     """Error strings for violations/annotations drifting from the
-    committed baseline."""
+    committed baseline. Keys are counted, so a second suppression of
+    the same (file, rule, symbol) is drift too."""
     base = load_baseline()
     errs = []
-    grand = {baseline_key(e) for e in base["grandfathered"]}
-    known_annot = {baseline_key(e) for e in base["annotated"]}
-    seen_viol = set()
+    grand = Counter(baseline_key(e) for e in base["grandfathered"])
+    seen_viol = Counter()
     for v in findings.violations:
         k = baseline_key(v)
-        seen_viol.add(k)
-        if k not in grand:
+        seen_viol[k] += 1
+        if seen_viol[k] > grand[k]:
             errs.append(f"{v['file']}:{v['line']}: [{v['rule']}] "
                         f"NEW violation: {v['message']}")
     for k in sorted(grand - seen_viol):
         errs.append(f"stale baseline entry (violation fixed?): "
                     f"{k[0]} [{k[1]}] {k[2]}; run --update-baseline")
-    seen_annot = {baseline_key(a) for a in findings.annotated}
+    known_annot = Counter(baseline_key(e) for e in base["annotated"])
+    seen_annot = Counter(baseline_key(a) for a in findings.annotated)
     for k in sorted(seen_annot - known_annot):
         errs.append(f"untracked annotated site: {k[0]} [{k[1]}] "
                     f"{k[2]}; run --update-baseline")
@@ -694,7 +833,7 @@ def self_test():
         print(f"analyze: no fixtures at {FIXTURES}", file=sys.stderr)
         return 1
     failures = 0
-    for path in sorted(FIXTURES.glob("*.cc")):
+    for path in sorted([*FIXTURES.glob("*.cc"), *FIXTURES.glob("*.hh")]):
         rel = path.relative_to(REPO).as_posix()
         raw = path.read_text(errors="replace").split("\n")
         expected = set()
@@ -752,10 +891,6 @@ def main():
                     help="rewrite tools/analyze_baseline.json")
     ap.add_argument("--self-test", action="store_true",
                     help="classify tests/analyze_fixtures only")
-    ap.add_argument("--mode", choices=("auto", "ast", "textual"),
-                    default="auto")
-    ap.add_argument("--build-dir", default=str(REPO / "build"),
-                    help="compile_commands.json location (AST mode)")
     args = ap.parse_args()
 
     if args.self_test:
@@ -769,34 +904,14 @@ def main():
             continue  # the determinism contract binds model code
         FileAnalysis(f, rel).run(findings)
 
-    mode = "textual"
-    if args.mode in ("auto", "ast"):
-        try:
-            cc = pathlib.Path(args.build_dir) / "compile_commands.json"
-            if not cc.exists():
-                raise RuntimeError(f"no {cc}")
-            ast_refine(findings, args.build_dir)
-            mode = "ast"
-        except Exception as e:  # ImportError, parse errors, ...
-            msg = (f"mcnsim_analyze: libclang AST mode unavailable "
-                   f"({e.__class__.__name__}: {e}); falling back to "
-                   "textual analysis (install the `clang` python "
-                   "bindings and configure with "
-                   "-DCMAKE_EXPORT_COMPILE_COMMANDS=ON for AST mode)")
-            if args.mode == "ast":
-                print(msg, file=sys.stderr)
-                return 2
-            print(msg, file=sys.stderr)
-
     for v in findings.violations:
         print(f"{v['file']}:{v['line']}: [{v['rule']}] "
               f"{v['message']}")
 
     if args.json:
         doc = {
-            "schema_version": 1,
+            "schema_version": 2,
             "kind": "mcnsim-analyze",
-            "mode": mode,
             "files_scanned": len(files),
             "violations": findings.violations,
             "annotated": findings.annotated,
@@ -812,7 +927,7 @@ def main():
               f"{len(doc['annotated'])} annotated)")
         return 0
 
-    print(f"mcnsim_analyze [{mode}]: {len(files)} files, "
+    print(f"mcnsim_analyze: {len(files)} files, "
           f"{len(findings.violations)} violation"
           f"{'' if len(findings.violations) == 1 else 's'}, "
           f"{len(findings.annotated)} annotated site"
